@@ -1,9 +1,8 @@
 """Pure-Python Buchberger kernel.
 
 Polynomials enter as dicts exponent-tuple -> coefficient, where coefficients
-are opaque field elements supporting +, -, *, inverse() and is_zero().  The
-compiled twin in _speedups exposes the same two entry points; weildescent.kernel
-picks whichever imports.
+are opaque field elements supporting +, -, *, inverse() and is_zero().
+weildescent.kernel re-exports the two entry points.
 
 The budget is a single-element list of remaining reduction steps, decremented
 in place so one cap can span a whole pipeline.

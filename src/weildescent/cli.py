@@ -15,15 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .descent import (
-    DatumReport,
-    descend,
-    maps_equal_mod_ideal,
-    verify_datum,
-)
+from .descent import check_claimed_model, descend, verify_datum
 from .errors import InputError, ResourceLimit, VerificationError, ZeroDenominator
-from .groebner import Ideal, normal_form, saturate
-from .multipoly import MultiPoly, compose_map, identity_map, _substitute_fraction
 from .problemfile import (
     load_claimed_model,
     load_problem,
@@ -90,31 +83,7 @@ def _write(text, path):
 
 
 def cmd_descend(args) -> int:
-    problem = load_problem(args.file)
-    if args.order is not None and args.order != problem.variety.ring.order.kind:
-        # Re-read with the requested order taking precedence.
-        problem.options["order"] = args.order
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        from .multipoly import MonomialOrder, PolyRing, RationalMap
-        from .descent import AffineVariety, DescentDatum
-
-        ring = PolyRing(
-            problem.variety.ring.field,
-            problem.variety.ring.variables,
-            MonomialOrder(args.order),
-        )
-        gens = [g.transplant(ring) for g in problem.variety.generators]
-        variety = AffineVariety(ring, gens)
-        maps = [
-            RationalMap(
-                ring,
-                [(n.transplant(ring), d.transplant(ring)) for n, d in f.components],
-                normalize=False,
-            )
-            for f in problem.datum.maps
-        ]
-        problem.datum = DescentDatum(variety, problem.group, maps)
+    problem = load_problem(args.file, order=args.order)
     budget, prune, want_inverse = _effective(args, problem)
     result = descend(problem.datum, budget=budget, prune=prune,
                      want_inverse=want_inverse)
@@ -137,68 +106,6 @@ def cmd_check_model(args) -> int:
     report = check_claimed_model(problem, claimed, budget)
     sys.stdout.write(render_report(report))
     return EXIT_OK if report.ok else EXIT_VERIFICATION
-
-
-def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
-    """Independent verification of a claimed (R, Y) pair against the datum."""
-    report = DatumReport()
-    datum = problem.datum
-    group = problem.group
-    X = datum.variety
-    y_ideal = Ideal(claimed.y_ring, list(claimed.y_generators))
-    R = claimed.map
-
-    report.add(
-        "Y generators over the fixed field",
-        all(g.has_rational_coefficients() for g in claimed.y_generators),
-    )
-
-    # R(X) lands inside Y: each Y generator composed with R vanishes on X.
-    x_ideal = X.ideal
-    dens = [den for _, den in R.components if not den.is_constant()]
-    if dens:
-        prod = X.ring.one
-        for den in dens:
-            prod = prod * den
-        sat = saturate(x_ideal, prod, budget=budget)
-        x_gb = sat.groebner_basis(budget=budget)
-    else:
-        x_gb = x_ideal.groebner_basis(budget=budget)
-    for gi, P in enumerate(claimed.y_generators):
-        num, _ = _substitute_fraction(P, R.numerators(), R.denominators(), X.ring)
-        rem = normal_form(num, x_gb, budget)
-        ok = rem.is_zero()
-        report.add(f"image containment generator_{gi}", ok,
-                   None if ok else str(rem))
-
-    for s in group:
-        if s == group.identity_index:
-            continue
-        try:
-            rhs = compose_map(R.sigma(group, s), datum.maps[s])
-            equal, witness = maps_equal_mod_ideal(R, rhs, x_ideal, budget)
-        except ZeroDenominator as exc:
-            equal, witness = False, exc
-        report.add(f"descent relation {problem.labels[s]}", equal,
-                   None if equal else str(witness))
-
-    if claimed.inverse is not None:
-        inv = claimed.inverse
-        try:
-            back = compose_map(inv, R)
-            ok1, w1 = maps_equal_mod_ideal(back, identity_map(X.ring), x_ideal, budget)
-        except ZeroDenominator as exc:
-            ok1, w1 = False, exc
-        report.add("inverse composition on X", ok1, None if ok1 else str(w1))
-        try:
-            forth = compose_map(R, inv)
-            ok2, w2 = maps_equal_mod_ideal(
-                forth, identity_map(claimed.y_ring), y_ideal, budget
-            )
-        except ZeroDenominator as exc:
-            ok2, w2 = False, exc
-        report.add("inverse composition on Y", ok2, None if ok2 else str(w2))
-    return report
 
 
 def main(argv=None) -> int:

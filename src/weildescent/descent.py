@@ -22,7 +22,16 @@ from .errors import (
     VerificationError,
     ZeroDenominator,
 )
-from .groebner import Ideal, MonomialOrder, eliminate, ideals_equal, image_ideal, normal_form, saturate
+from .groebner import (
+    Ideal,
+    MonomialOrder,
+    _graph_basis,
+    eliminate,
+    ideals_equal,
+    image_ideal,
+    normal_form,
+    saturate,
+)
 from .invariants import BlockPermutationAction, generate_invariants
 from .multipoly import (
     MultiPoly,
@@ -49,6 +58,7 @@ __all__ = [
     "transport_automorphisms",
     "compare_models",
     "maps_equal_mod_ideal",
+    "check_claimed_model",
 ]
 
 
@@ -577,28 +587,8 @@ def recover_inverse(R: RationalMap, I_X: Ideal, I_Y: Ideal, budget=None):
 
     Soft outcome: returns None when no usable elements appear.
     """
-    ring = I_X.ring
-    n = ring.nvars
-    tnames = I_Y.ring.variables
-    split = n + (0 if R.is_polynomial() else 1)
-    names = list(ring.variables)
-    aux = None
-    if not R.is_polynomial():
-        aux = "_sat"
-        while aux in set(names) | set(tnames):
-            aux = "_" + aux
-        names.append(aux)
-    big = PolyRing(ring.field, tuple(names) + tnames, MonomialOrder("block", split=split))
-    gens = [g.transplant(big) for g in I_X.generators]
-    for tname, (num, den) in zip(tnames, R.components):
-        gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
-    if aux is not None:
-        prod = big.one
-        for _, den in R.components:
-            if not den.is_constant():
-                prod = prod * den.transplant(big)
-        gens.append(big.one - big.var(aux) * prod)
-    gb = Ideal(big, gens).groebner_basis(order=big.order, budget=budget)
+    n = I_X.ring.nvars
+    gb, split = _graph_basis(R, I_X, I_Y.ring.variables, budget)
 
     y_gb = I_Y.groebner_basis(budget=budget)
     target = I_Y.ring
@@ -669,6 +659,69 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
     comps = [R.components[i] for i in kept_idx]
     R2 = RationalMap(R.ring, comps, normalize=False)
     return current, R2, tuple(dropped)
+
+
+# -- independent checking of a claimed model ----------------------------------------
+
+
+def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
+    """Independent verification of a claimed (R, Y) pair against the datum.
+
+    `problem` carries the datum, its group and the group-element labels (a
+    loaded problem file); `claimed` carries y_ring, y_generators, map and an
+    optional inverse (a loaded result document).  A failed check is reported
+    with its witness, not raised.
+    """
+    report = DatumReport()
+    datum = problem.datum
+    group = problem.group
+    X = datum.variety
+    y_ideal = Ideal(claimed.y_ring, list(claimed.y_generators))
+    R = claimed.map
+
+    report.add(
+        "Y generators over the fixed field",
+        all(g.has_rational_coefficients() for g in claimed.y_generators),
+    )
+
+    # R(X) lands inside Y: each Y generator composed with R vanishes on X.
+    x_ideal = X.ideal
+    x_gb = _equality_basis(x_ideal, [R], budget)
+    for gi, P in enumerate(claimed.y_generators):
+        num, _ = _substitute_fraction(P, R.numerators(), R.denominators(), X.ring)
+        rem = normal_form(num, x_gb, budget)
+        ok = rem.is_zero()
+        report.add(f"image containment generator_{gi}", ok,
+                   None if ok else str(rem))
+
+    for s in group:
+        if s == group.identity_index:
+            continue
+        try:
+            rhs = compose_map(R.sigma(group, s), datum.maps[s])
+            equal, witness = maps_equal_mod_ideal(R, rhs, x_ideal, budget)
+        except ZeroDenominator as exc:
+            equal, witness = False, exc
+        report.add(f"descent relation {problem.labels[s]}", equal,
+                   None if equal else str(witness))
+
+    if claimed.inverse is not None:
+        inv = claimed.inverse
+        try:
+            back = compose_map(inv, R)
+            ok1, w1 = maps_equal_mod_ideal(back, identity_map(X.ring), x_ideal, budget)
+        except ZeroDenominator as exc:
+            ok1, w1 = False, exc
+        report.add("inverse composition on X", ok1, None if ok1 else str(w1))
+        try:
+            forth = compose_map(R, inv)
+            ok2, w2 = maps_equal_mod_ideal(
+                forth, identity_map(claimed.y_ring), y_ideal, budget
+            )
+        except ZeroDenominator as exc:
+            ok2, w2 = False, exc
+        report.add("inverse composition on Y", ok2, None if ok2 else str(w2))
+    return report
 
 
 # -- other versions of the theorem -------------------------------------------------------

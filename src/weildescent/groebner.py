@@ -192,6 +192,33 @@ def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
     return Ideal(ring, [g.transplant(ring) for g in elim.generators])
 
 
+def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, budget=None):
+    """Block-order basis of the graph of F on V(I_source), denominators saturated.
+
+    The first block holds the source variables, then one auxiliary variable
+    when F has denominators; the second block holds the target variables
+    (a tuple of names).  Returns (basis, size of the first block).
+    """
+    ring = I_source.ring
+    names = list(ring.variables)
+    if not F.is_polynomial():
+        names.append(_fresh_name("_sat", set(names) | set(target_vars)))
+    split = len(names)
+    big = PolyRing(
+        ring.field, tuple(names) + target_vars, MonomialOrder("block", split=split)
+    )
+    gens = [g.transplant(big) for g in I_source.generators]
+    for tname, (num, den) in zip(target_vars, F.components):
+        gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
+    if split > ring.nvars:
+        prod = big.one
+        for _, den in F.components:
+            if not den.is_constant():
+                prod = prod * den.transplant(big)
+        gens.append(big.one - big.var(split - 1) * prod)
+    return Ideal(big, gens).groebner_basis(order=big.order, budget=budget), split
+
+
 def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Ideal:
     """Ideal of the Zariski closure of F(V(I_source)) in the target variables.
 
@@ -208,7 +235,6 @@ def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Id
     if len(taken) != ring.nvars + len(target_vars):
         raise InputError("target variables collide with source variables")
 
-    needs_saturation = not F.is_polynomial()
     src_gb = I_source.groebner_basis(budget=budget)
     for _, den in F.components:
         if not den.is_constant() and normal_form(den, src_gb, budget).is_zero():
@@ -216,26 +242,7 @@ def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Id
                 "a map denominator vanishes identically on the source variety"
             )
 
-    names = list(ring.variables)
-    aux = None
-    if needs_saturation:
-        aux = _fresh_name("_sat", taken)
-        names.append(aux)
-    split = len(names)
-    big = PolyRing(
-        ring.field, tuple(names) + target_vars, MonomialOrder("block", split=split)
-    )
-    gens = [g.transplant(big) for g in I_source.generators]
-    for tname, (num, den) in zip(target_vars, F.components):
-        gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
-    if needs_saturation:
-        prod = big.one
-        for _, den in F.components:
-            if not den.is_constant():
-                prod = prod * den.transplant(big)
-        gens.append(big.one - big.var(aux) * prod)
-    graph = Ideal(big, gens)
-    gb = graph.groebner_basis(order=big.order, budget=budget)
+    gb, split = _graph_basis(F, I_source, target_vars, budget)
     target_ring = PolyRing(ring.field, target_vars, MonomialOrder("grevlex"))
     out = []
     for g in gb.elements:

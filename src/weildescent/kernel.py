@@ -1,19 +1,9 @@
-"""Selects the compiled reduction kernel, falling back to pure Python.
+"""The Buchberger kernel's entry points, as the rest of the package calls them.
 
-Set WEILDESCENT_FORCE_PYTHON=1 to skip the compiled extension (used by the
-benchmark to compare both).
+The implementation lives in _pykernel; this module re-exports it so callers
+go through one stable name.
 """
 
-import os
+from ._pykernel import IMPL, buchberger, normal_form
 
-if os.environ.get("WEILDESCENT_FORCE_PYTHON"):
-    from . import _pykernel as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernel as _impl
-
-IMPL = _impl.IMPL
-normal_form = _impl.normal_form
-buchberger = _impl.buchberger
+__all__ = ["IMPL", "buchberger", "normal_form"]

@@ -6,7 +6,9 @@
     base     := rational | generator | variable | '(' expr ')'
     rational := integer ('/' positive-integer)?
 
-Whitespace is insignificant; multiplication is always explicit.
+Whitespace is insignificant; multiplication is always explicit.  Parentheses
+nest at most MAX_DEPTH deep, so deep input is a parse error, not a stack
+overflow.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .errors import PolyParseError, UnknownVariable
 from .multipoly import MultiPoly, PolyRing
 
 __all__ = ["parse_poly"]
+
+MAX_DEPTH = 200
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
@@ -48,6 +52,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -121,8 +126,14 @@ class _Parser:
                 return self.ring.var(val)
             raise UnknownVariable(val, pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_DEPTH:
+                raise PolyParseError(
+                    f"parentheses nested more than {MAX_DEPTH} deep", pos
+                )
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise PolyParseError("expected a number, name, or parenthesis", pos)
 

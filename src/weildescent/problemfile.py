@@ -181,7 +181,8 @@ def _parse_components(entries, ring, where):
     return [tuple(c) for c in comps]
 
 
-def load_problem_text(text: str) -> ProblemFile:
+def load_problem_text(text: str, order=None) -> ProblemFile:
+    """Parse a problem file; `order` ("grevlex" or "lex") overrides [options] order."""
     sections = parse_sections(text)
     by_name = {}
     for name, entries in sections:
@@ -216,10 +217,8 @@ def load_problem_text(text: str) -> ProblemFile:
     for v in var_names:
         if not _NAME_RE.fullmatch(v) or v == gen_name:
             raise InputError(f"invalid variable name {v!r}")
-    order_name = "grevlex"
     options = _parse_options(by_name.get("options", []))
-    if "order" in options:
-        order_name = options["order"]
+    order_name = order or options.get("order", "grevlex")
     ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
     equations = [
         parse_poly(value, ring)
@@ -257,13 +256,13 @@ def load_problem_text(text: str) -> ProblemFile:
                        datum=datum, options=options)
 
 
-def load_problem(path: str) -> ProblemFile:
+def load_problem(path: str, order=None) -> ProblemFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read problem file {path}: {exc}") from exc
-    return load_problem_text(text)
+    return load_problem_text(text, order=order)
 
 
 # -- claimed models (for independent checking) ---------------------------------------

@@ -43,6 +43,17 @@ class TestVerifyDatum:
         code, _, err = run(capsys, "verify-datum", "no-such-file.txt")
         assert code == 2
 
+    def test_deeply_nested_equation_exit_two(self, tmp_path, capsys):
+        deep = "(" * 2000 + "x1" + ")" * 2000
+        text = read_fixture("humbert.txt").replace(
+            "equation = 1 + x1^2 + x2^2", f"equation = 1 + {deep}^2 + x2^2"
+        )
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify-datum", str(bad))
+        assert code == 2
+        assert "nested" in err
+
 
 class TestDescend:
     def test_golden_fixture(self, capsys):
@@ -77,6 +88,16 @@ class TestDescend:
             assert first == second
             outputs.append(first)
         assert len(set(outputs)) == len(outputs)
+
+    @pytest.mark.parametrize("name", ["conic.txt", "humbert.txt"])
+    def test_order_flag_matches_order_option(self, name, tmp_path, capsys):
+        with_option = tmp_path / name
+        with_option.write_text(read_fixture(name) + "\n[options]\norder = lex\n")
+        code, flagged, _ = run(capsys, "descend", fixture_path(name), "--order", "lex")
+        assert code == 0
+        code, optioned, _ = run(capsys, "descend", str(with_option))
+        assert code == 0
+        assert flagged == optioned
 
     def test_output_file(self, tmp_path, capsys):
         out_file = tmp_path / "result.txt"

@@ -160,14 +160,3 @@ class TestKernels:
         py = _pykernel.buchberger(dicts, order, [10**6])
         active = wd.groebner(wd.Ideal(qring, gens))
         assert py == [g.terms for g in active.elements]
-
-    def test_compiled_kernel_if_available(self, qring):
-        speedups = pytest.importorskip("weildescent._speedups")
-        from weildescent import _pykernel
-
-        gens = [p("x*y - z^2", qring), p("y^2 - x*z", qring), p("x^2 - 1", qring)]
-        dicts = [g.terms for g in gens]
-        order = ("grevlex", None)
-        assert speedups.buchberger(dicts, order, [10**6]) == _pykernel.buchberger(
-            dicts, order, [10**6]
-        )

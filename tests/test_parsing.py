@@ -1,6 +1,7 @@
 import pytest
 
 import weildescent as wd
+from weildescent.parsing import MAX_DEPTH
 
 
 @pytest.fixture
@@ -74,3 +75,12 @@ class TestErrors:
     def test_empty_input_rejected(self, ring):
         with pytest.raises(wd.PolyParseError):
             wd.parse_poly("", ring)
+
+    def test_deep_nesting_rejected(self, ring):
+        assert wd.parse_poly("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, ring) == (
+            ring.var("x1")
+        )
+        for depth in (MAX_DEPTH + 1, 2000):
+            with pytest.raises(wd.PolyParseError) as exc:
+                wd.parse_poly("(" * depth + "x1" + ")" * depth, ring)
+            assert exc.value.position == MAX_DEPTH
