@@ -26,9 +26,8 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     _graph_basis,
-    eliminate,
+    _second_block,
     ideals_equal,
-    image_ideal,
     normal_form,
     saturate,
 )
@@ -246,6 +245,17 @@ def _first_unequal_component(lhs, rhs, gb, budget):
 # -- disjointification ---------------------------------------------------------------
 
 
+def _conjugates_disjoint(X: AffineVariety, group, budget=None) -> bool:
+    """Whether the conjugates of X are pairwise disjoint (each sum is the unit ideal)."""
+    conj = [X.conjugate_ideal(group, s) for s in group]
+    for i in range(len(conj)):
+        for j in range(i + 1, len(conj)):
+            joint = Ideal(X.ring, list(conj[i].generators) + list(conj[j].generators))
+            if not joint.is_unit(budget=budget):
+                return False
+    return True
+
+
 def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
     """Augment the model so conjugate varieties are pairwise disjoint.
 
@@ -254,21 +264,8 @@ def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
     conjugates already meets.  Returns the input unchanged otherwise.
     """
     group = d.group
-    m = group.order
-    if m == 1:
-        return d
     X = d.variety
-    conj = [X.conjugate_ideal(group, s) for s in group]
-    meets = False
-    for i in range(m):
-        for j in range(i + 1, m):
-            joint = Ideal(X.ring, list(conj[i].generators) + list(conj[j].generators))
-            if not joint.is_unit(budget=budget):
-                meets = True
-                break
-        if meets:
-            break
-    if not meets:
+    if _conjugates_disjoint(X, group, budget):
         return d
 
     ring = X.ring
@@ -308,6 +305,14 @@ def _phi_action(d: DescentDatum) -> BlockPermutationAction:
     )
 
 
+def _phi_map(d: DescentDatum) -> RationalMap:
+    """Phi: x -> (f_sigma(x))_sigma."""
+    comps = []
+    for s in d.group:
+        comps.extend(d.maps[s].components)
+    return RationalMap(d.variety.ring, comps, normalize=False)
+
+
 def build_phi(d: DescentDatum, budget=None, action=None):
     """Phi: x -> (f_sigma(x))_sigma, and the ideal of Phi(X) in the block ring."""
     group = d.group
@@ -315,11 +320,7 @@ def build_phi(d: DescentDatum, budget=None, action=None):
     action = action or _phi_action(d)
     big = action.ring
     n = X.ring.nvars
-
-    comps = []
-    for s in group:
-        comps.extend(d.maps[s].components)
-    phi = RationalMap(X.ring, comps, normalize=False)
+    phi = _phi_map(d)
 
     # Identity block variables carry the X names, so transplanting by name
     # lands polynomials on the e-block.
@@ -360,32 +361,50 @@ def _target_names(count, taken):
 
 
 def _trace_descend_generators(ideal: Ideal, group, budget=None):
-    """Replace non-rational generators by their trace family; verify equality."""
+    """Replace non-rational generators by their trace family; verify equality.
+
+    An ideal whose generators are all rational is returned itself, with the
+    bases already cached on it.
+    """
+    if all(F.has_rational_coefficients() for F in ideal.generators):
+        return ideal
     basis = power_basis(ideal.ring.field)
     out = []
-    changed = False
     for F in ideal.generators:
         if F.has_rational_coefficients():
             out.append(F)
             continue
-        changed = True
         for e in basis:
             T = poly_trace(F.scale(e), group)
             if not T.is_zero():
                 out.append(T)
     descended = Ideal(ideal.ring, out)
-    if changed and not ideals_equal(descended, ideal, budget=budget):
+    if not ideals_equal(descended, ideal, budget=budget):
         raise VerificationError("trace descent changed the ideal")
     return descended
+
+
+def _sigma_stable(ideal: Ideal, group, budget=None) -> bool:
+    """Whether sigma(I) = I for every sigma, from one reduced basis of I.
+
+    sigma acts on coefficients only, so it maps the reduced grevlex basis G
+    of I onto the reduced basis of sigma(I) with the same monic leading
+    terms in the same places: sigma(I) = I exactly when sigma(G) = G term
+    by term.
+    """
+    gb = ideal.groebner_basis(order=MonomialOrder("grevlex"), budget=budget)
+    return all(
+        g.sigma(group, s).terms == g.terms for s in group for g in gb.elements
+    )
 
 
 def _x_stable_and_trivial(d: DescentDatum, budget=None):
     group = d.group
     X = d.variety
+    if not _sigma_stable(X.ideal, group, budget):
+        return False
     ident = identity_map(X.ring)
     for s in group:
-        if not ideals_equal(X.ideal, X.conjugate_ideal(group, s), budget=budget):
-            return False
         equal, _ = maps_equal_mod_ideal(d.maps[s], ident, X.ideal, budget)
         if not equal:
             return False
@@ -435,20 +454,15 @@ def descend(
     dd = disjointify(d, budget=budget)
     Xw = dd.variety
 
-    # Certify disjointness of the working model's conjugates.
-    disjoint = True
-    conj = [Xw.conjugate_ideal(group, s) for s in group]
-    for i in range(group.order):
-        for j in range(i + 1, group.order):
-            joint = Ideal(Xw.ring, list(conj[i].generators) + list(conj[j].generators))
-            if not joint.is_unit(budget=budget):
-                disjoint = False
+    # Certify disjointness of the working model's conjugates: disjointify
+    # returns its input only after finding every pair disjoint.
+    disjoint = dd is d or _conjugates_disjoint(Xw, group, budget)
     certificates["disjoint_conjugates"] = disjoint
-    if not disjoint and group.order > 1:
+    if not disjoint:
         raise VerificationError("conjugate models are not pairwise disjoint")
 
     action = _phi_action(dd)
-    phi, phi_ideal = build_phi(dd, budget=budget, action=action)
+    phi = _phi_map(dd)
     invars = generate_invariants(action, budget=budget)
 
     # Certify the invariance and rationality of the generators (exact).
@@ -468,12 +482,14 @@ def descend(
     x_gb = Xw.ideal.groebner_basis(budget=budget)
     R = _reduce_map(R, x_gb, budget)
 
-    y_ideal = image_ideal(R, Xw.ideal, tnames, budget=budget)
+    # Y is the image of R, eliminated from the graph basis; _reduce_map has
+    # already rejected a denominator vanishing on X.  The same graph basis
+    # gives R^-1 below unless pruning changes the target coordinates.
+    graph = _graph_basis(R, Xw.ideal, tnames, budget)
+    y_ideal = _second_block(*graph)
     y_ring = y_ideal.ring
 
-    certificates["y_sigma_stable"] = all(
-        ideals_equal(y_ideal, y_ideal.sigma(group, s), budget=budget) for s in group
-    )
+    certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group, budget)
     if not certificates["y_sigma_stable"]:
         raise VerificationError("Y is not stable under the group action")
 
@@ -489,10 +505,7 @@ def descend(
     if prune:
         y_ideal, R, pruned = _prune_coordinates(y_ideal, R, budget)
         y_ring = y_ideal.ring
-        certificates["y_sigma_stable"] = all(
-            ideals_equal(y_ideal, y_ideal.sigma(group, s), budget=budget)
-            for s in group
-        )
+        certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group, budget)
         y_ideal = _trace_descend_generators(y_ideal, group, budget)
         certificates["y_rational_generators"] = all(
             g.has_rational_coefficients() for g in y_ideal.generators
@@ -514,7 +527,10 @@ def descend(
         raise VerificationError("R != R^sigma o f_sigma on X", witness)
 
     if want_inverse:
-        inverse = recover_inverse(R, Xw.ideal, y_ideal, budget=budget)
+        if pruned:
+            inverse = recover_inverse(R, Xw.ideal, y_ideal, budget=budget)
+        else:
+            inverse = _inverse_from_graph(*graph, Xw.ring.nvars, y_ideal, budget)
     certificates["inverse_recovered"] = inverse is not None
 
     # Fold the disjointification back onto the original model: substitute the
@@ -587,9 +603,12 @@ def recover_inverse(R: RationalMap, I_X: Ideal, I_Y: Ideal, budget=None):
 
     Soft outcome: returns None when no usable elements appear.
     """
-    n = I_X.ring.nvars
     gb, split = _graph_basis(R, I_X, I_Y.ring.variables, budget)
+    return _inverse_from_graph(gb, split, I_X.ring.nvars, I_Y, budget)
 
+
+def _inverse_from_graph(gb, split, n, I_Y: Ideal, budget=None):
+    """R^-1 read off the graph basis of R (n source variables first), or None."""
     y_gb = I_Y.groebner_basis(budget=budget)
     target = I_Y.ring
     found = {}
@@ -627,15 +646,13 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
     Highest-index coordinates are tried first; a coordinate t_j is dropped
     only when the ideal contains t_j - p(remaining kept coordinates).
     """
-    ring = y_ideal.ring
-    names = list(ring.variables)
+    names = y_ideal.ring.variables
     current = y_ideal
-    kept = list(names)
     dropped = []
     for name in reversed(names):
+        kept = current.ring.variables
         if len(kept) == 1:
             break
-        idx = kept.index(name)
         reordered = PolyRing(
             current.ring.field,
             (name,) + tuple(v for v in kept if v != name),
@@ -643,20 +660,20 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
         )
         moved = Ideal(reordered, [g.transplant(reordered) for g in current.generators])
         gb = moved.groebner_basis(order=reordered.order, budget=budget)
+        lead = (1,) + (0,) * (reordered.nvars - 1)
         expressible = any(
             g.degree_in(0) == 1
-            and g.terms.get(
-                (1,) + (0,) * (reordered.nvars - 1)
-            ) is not None
-            and all(m[0] == 0 for m in g.terms if m != (1,) + (0,) * (reordered.nvars - 1))
+            and lead in g.terms
+            and all(m[0] == 0 for m in g.terms if m != lead)
             for g in gb.elements
         )
         if expressible:
             dropped.append(name)
-            kept.pop(idx)
-            current = eliminate(current, [name], budget=budget)
-    kept_idx = [i for i, v in enumerate(names) if v in set(kept)]
-    comps = [R.components[i] for i in kept_idx]
+            # This block basis eliminates t_j: its elements free of t_j
+            # generate the ideal of the kept coordinates.
+            current = _second_block(gb, 1)
+    kept = set(current.ring.variables)
+    comps = [c for v, c in zip(names, R.components) if v in kept]
     R2 = RationalMap(R.ring, comps, normalize=False)
     return current, R2, tuple(dropped)
 

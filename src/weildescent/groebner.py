@@ -141,7 +141,7 @@ def _elimination_ring(ring: PolyRing, drop_indices):
     drop = [ring.variables[i] for i in sorted(drop_indices)]
     keep = [v for i, v in enumerate(ring.variables) if i not in drop_indices]
     order = MonomialOrder("block", split=len(drop))
-    return PolyRing(ring.field, drop + keep, order), keep
+    return PolyRing(ring.field, drop + keep, order)
 
 
 def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
@@ -155,16 +155,24 @@ def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
             drop_indices.add(ring._var_index[v])
         else:
             drop_indices.add(v)
-    elim_ring, keep = _elimination_ring(ring, drop_indices)
+    elim_ring = _elimination_ring(ring, drop_indices)
     moved = Ideal(elim_ring, [g.transplant(elim_ring) for g in I.generators])
     gb = moved.groebner_basis(order=elim_ring.order, budget=budget)
-    split = len(drop_indices)
-    kept_ring = PolyRing(ring.field, keep, MonomialOrder("grevlex"))
+    return _second_block(gb, len(drop_indices))
+
+
+def _second_block(gb: GroebnerBasis, split) -> Ideal:
+    """The elements of a block-order basis free of the first `split` variables.
+
+    They generate the elimination ideal; it is returned in a grevlex ring over
+    the remaining variables.
+    """
+    ring = PolyRing(gb.ring.field, gb.ring.variables[split:], MonomialOrder("grevlex"))
     out = []
     for g in gb.elements:
         if all(not g.uses_variable(i) for i in range(split)):
-            out.append(g.transplant(kept_ring))
-    return Ideal(kept_ring, out)
+            out.append(g.transplant(ring))
+    return Ideal(ring, out)
 
 
 def _fresh_name(base, taken):
@@ -242,13 +250,7 @@ def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Id
                 "a map denominator vanishes identically on the source variety"
             )
 
-    gb, split = _graph_basis(F, I_source, target_vars, budget)
-    target_ring = PolyRing(ring.field, target_vars, MonomialOrder("grevlex"))
-    out = []
-    for g in gb.elements:
-        if all(not g.uses_variable(i) for i in range(split)):
-            out.append(g.transplant(target_ring))
-    return Ideal(target_ring, out)
+    return _second_block(*_graph_basis(F, I_source, target_vars, budget))
 
 
 def ideals_equal(I: Ideal, J: Ideal, budget=None) -> bool:

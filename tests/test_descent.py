@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 import weildescent as wd
-from tests.conftest import humbert_datum
+from tests.conftest import humbert_datum, read_fixture
+from weildescent.descent import _sigma_stable
+from weildescent.problemfile import load_problem_text
 
 
 def p(text, ring):
@@ -354,3 +357,100 @@ class TestCompareModels:
         res = wd.descend(humbert, prune=True, want_inverse=False)
         with pytest.raises(wd.MissingInverse):
             wd.compare_models(res, res, humbert)
+
+
+class TestBasisReuse:
+    """One descend call computes each Groebner basis at most once."""
+
+    @staticmethod
+    def circle_swap(qi, qi_group):
+        # Conjugates meet, so descend runs on a disjointified model.
+        ring = wd.PolyRing(qi, ("x1", "x2"))
+        X = wd.AffineVariety(ring, [p("x1^2 + x2^2 - 1", ring)])
+        f = wd.RationalMap(ring, [p("x2", ring), p("x1", ring)])
+        return wd.DescentDatum(X, qi_group, {1: f})
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize(
+        "name", ["conic", "humbert", "stable", "trivial", "circle_swap"]
+    )
+    def test_no_basis_computed_twice(self, monkeypatch, qi, qi_group, name, prune):
+        if name == "circle_swap":
+            datum = self.circle_swap(qi, qi_group)
+        else:
+            datum = load_problem_text(read_fixture(f"{name}.txt")).datum
+        groebner_module = sys.modules["weildescent.groebner"]
+        real = groebner_module.groebner
+        seen = []
+
+        def counting(I, order=None, budget=None):
+            order = order or I.ring.order
+            gens = frozenset(frozenset(g.terms.items()) for g in I.generators)
+            seen.append((I.ring.variables, order, gens))
+            return real(I, order, budget)
+
+        monkeypatch.setattr(groebner_module, "groebner", counting)
+        res = wd.descend(datum, prune=prune)
+        assert all(res.certificates.values())
+        repeated = [key[:2] for key in set(seen) if seen.count(key) > 1]
+        assert not repeated
+
+    def test_pruned_y_matches_elimination_path(self, humbert):
+        """Pruning that eliminates each dropped t_j with eliminate() gives
+        the same generators as reusing the expressibility basis."""
+        y = wd.descend(humbert).y_ideal
+        current = y
+        for name in reversed(y.ring.variables):
+            kept = current.ring.variables
+            if len(kept) == 1:
+                break
+            reordered = wd.PolyRing(
+                y.ring.field,
+                (name,) + tuple(v for v in kept if v != name),
+                wd.MonomialOrder("block", split=1),
+            )
+            moved = wd.Ideal(
+                reordered, [g.transplant(reordered) for g in current.generators]
+            )
+            gb = moved.groebner_basis(order=reordered.order)
+            lead = (1,) + (0,) * (reordered.nvars - 1)
+            if any(
+                g.degree_in(0) == 1
+                and lead in g.terms
+                and all(m[0] == 0 for m in g.terms if m != lead)
+                for g in gb.elements
+            ):
+                current = wd.eliminate(current, [name])
+        res = wd.descend(humbert, prune=True)
+        assert res.y_ring == current.ring
+        assert [g.terms for g in res.y_generators] == [
+            g.terms for g in current.generators
+        ]
+
+
+class TestSigmaStable:
+    def test_conjugate_point_not_stable(self, qi, qi_group):
+        ring = wd.PolyRing(qi, ("x",))
+        assert not _sigma_stable(wd.Ideal(ring, [p("x - i", ring)]), qi_group)
+
+    def test_stable_ideal_with_irrational_generator(self, qi, qi_group):
+        ring = wd.PolyRing(qi, ("x",))
+        assert _sigma_stable(wd.Ideal(ring, [p("i*x^2 + i", ring)]), qi_group)
+
+    def test_agrees_with_ideals_equal(self, humbert, qi, qi_group):
+        res = wd.descend(humbert)
+        tnames = res.y_ring.variables
+        # The image ideal as descend certifies it, before trace descent.
+        y_raw = wd.image_ideal(res.map, humbert.variety.ideal, tnames)
+        ring = wd.PolyRing(qi, ("x1", "x2"))
+        unstable = wd.Ideal(ring, [p("x1^2 + x2^2 - i", ring), p("x1 - x2", ring)])
+        cases = [
+            (y_raw, humbert.group, True),
+            (res.y_ideal, humbert.group, True),
+            (unstable, qi_group, False),
+        ]
+        for ideal, group, expected in cases:
+            direct = all(
+                wd.ideals_equal(ideal, ideal.sigma(group, s)) for s in group
+            )
+            assert _sigma_stable(ideal, group) == direct == expected
