@@ -1,7 +1,8 @@
 """Pure-Python Buchberger kernel.
 
 Polynomials enter as dicts exponent-tuple -> coefficient, where coefficients
-are opaque field elements supporting +, -, *, inverse() and is_zero().
+are opaque field elements supporting +, -, *, inverse() and is_zero().  The
+monomial order enters as its key function (MonomialOrder.key).
 weildescent.kernel re-exports the two entry points.
 
 The budget is a single-element list of remaining reduction steps, decremented
@@ -13,21 +14,6 @@ import heapq
 from .errors import ResourceLimit
 
 IMPL = "python"
-
-
-def _key_fn(order):
-    kind, split = order
-    if kind == "lex":
-        return lambda e: e
-    if kind == "grevlex":
-        return lambda e: (sum(e),) + tuple(-x for x in reversed(e))
-    def block_key(e, k=split):
-        hi, lo = e[:k], e[k:]
-        return (
-            (sum(hi),) + tuple(-x for x in reversed(hi))
-            + (sum(lo),) + tuple(-x for x in reversed(lo))
-        )
-    return block_key
 
 
 def _divides(a, b):
@@ -94,9 +80,8 @@ def _reduce(f, basis, keyf, budget, full=True):
     return remainder
 
 
-def normal_form(f, basis_polys, order, budget):
+def normal_form(f, basis_polys, keyf, budget):
     """Full remainder of f modulo a (Groebner) basis."""
-    keyf = _key_fn(order)
     basis = []
     for terms in basis_polys:
         if not terms:
@@ -106,13 +91,12 @@ def normal_form(f, basis_polys, order, budget):
     return _reduce(f, basis, keyf, budget)
 
 
-def buchberger(gens, order, budget):
+def buchberger(gens, keyf, budget):
     """Reduced, monic Groebner basis of the given generators.
 
     Degree-ordered pair queue with the product and chain criteria.
     Deterministic: identical inputs produce identical output lists.
     """
-    keyf = _key_fn(order)
     basis = []       # list of (lead_mono, monic terms)
     for terms in gens:
         if terms:

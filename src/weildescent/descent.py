@@ -25,6 +25,8 @@ from .errors import (
 from .groebner import (
     Ideal,
     MonomialOrder,
+    _as_budget,
+    _denominator_product,
     _graph_basis,
     _second_block,
     ideals_equal,
@@ -145,17 +147,27 @@ class DescentResult:
 
 def _equality_basis(ideal: Ideal, maps, budget=None):
     """Groebner basis of the ideal saturated by the maps' denominators."""
-    dens = []
-    for f in maps:
-        for _, den in f.components:
-            if not den.is_constant():
-                dens.append(den)
-    if not dens:
+    prod = _denominator_product(maps)
+    if prod is None:
         return ideal.groebner_basis(budget=budget)
-    prod = ideal.ring.one
-    for den in dens:
-        prod = prod * den
     return saturate(ideal, prod, budget=budget).groebner_basis(budget=budget)
+
+
+def _first_mismatch(f: RationalMap, g: RationalMap, ideal: Ideal, budget):
+    """(index, nonzero normal form) of the first component where f and g differ
+    on V(ideal), or None when they agree.  Both maps have the same arity.
+
+    Denominators lying in the ideal raise ZeroDenominator.
+    """
+    gb = _equality_basis(ideal, [f, g], budget)
+    for k, ((nf_, df_), (ng_, dg_)) in enumerate(zip(f.components, g.components)):
+        for den in (df_, dg_):
+            if not den.is_constant() and normal_form(den, gb, budget).is_zero():
+                raise ZeroDenominator("map denominator vanishes on the variety")
+        rem = normal_form(nf_ * dg_ - ng_ * df_, gb, budget)
+        if not rem.is_zero():
+            return k, rem
+    return None
 
 
 def maps_equal_mod_ideal(f: RationalMap, g: RationalMap, ideal: Ideal, budget=None):
@@ -166,16 +178,37 @@ def maps_equal_mod_ideal(f: RationalMap, g: RationalMap, ideal: Ideal, budget=No
     """
     if f.target_arity != g.target_arity:
         return False, None
-    gb = _equality_basis(ideal, [f, g], budget)
-    for (nf_, df_), (ng_, dg_) in zip(f.components, g.components):
-        for den in (df_, dg_):
-            if not den.is_constant() and normal_form(den, gb, budget).is_zero():
-                raise ZeroDenominator("map denominator vanishes on the variety")
-        diff = nf_ * dg_ - ng_ * df_
-        rem = normal_form(diff, gb, budget)
-        if not rem.is_zero():
-            return False, rem
+    mismatch = _first_mismatch(f, g, ideal, _as_budget(budget))
+    if mismatch is None:
+        return True, None
+    return False, mismatch[1]
+
+
+def _relation(R: RationalMap, d: DescentDatum, s, budget):
+    """R = R^sigma o f_sigma on X for the datum d: (equal, witness)."""
+    rhs = compose_map(R.sigma(d.group, s), d.maps[s])
+    return maps_equal_mod_ideal(R, rhs, d.variety.ideal, budget)
+
+
+def _sigma_fixed(L: RationalMap, group, ideal: Ideal, budget):
+    """L^sigma = L on V(ideal) for every sigma: (True, None), or (False, witness)."""
+    for s in group:
+        equal, witness = maps_equal_mod_ideal(L.sigma(group, s), L, ideal, budget)
+        if not equal:
+            return False, witness
     return True, None
+
+
+def _composed_normal_forms(gens, F: RationalMap, gb, budget):
+    """Normal forms modulo gb of the numerators of P(F), one per P in gens.
+
+    Zero means P o F vanishes on V(gb) when gb is saturated by F's
+    denominators.  Lazy, so a caller can stop at the first failure.
+    """
+    nums, dens = F.numerators(), F.denominators()
+    for P in gens:
+        num, _ = _substitute_fraction(P, nums, dens, F.ring)
+        yield normal_form(num, gb, budget)
 
 
 def _reduce_map(F: RationalMap, gb, budget=None) -> RationalMap:
@@ -198,6 +231,7 @@ def _reduce_map(F: RationalMap, gb, budget=None) -> RationalMap:
 
 def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
     """Check f_sigma maps X into X^sigma and the cocycle identity for all pairs."""
+    budget = _as_budget(budget)
     report = DatumReport()
     group = d.group
     X = d.variety
@@ -205,17 +239,13 @@ def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
 
     for s in group:
         f = d.maps[s]
-        nums = f.numerators()
-        dens = f.denominators()
-        for den in dens:
+        for den in f.denominators():
             if not den.is_constant() and normal_form(den, gb, budget).is_zero():
                 raise ZeroDenominator(
                     f"denominator of the map for sigma_{s} vanishes on X"
                 )
-        for gi, P in enumerate(X.generators):
-            Ps = P.sigma(group, s)
-            num, _ = _substitute_fraction(Ps, nums, dens, X.ring)
-            rem = normal_form(num, gb, budget)
+        conjugates = [P.sigma(group, s) for P in X.generators]
+        for gi, rem in enumerate(_composed_normal_forms(conjugates, f, gb, budget)):
             ok = rem.is_zero()
             report.add(f"into-conjugate sigma_{s} generator_{gi}", ok,
                        None if ok else str(rem))
@@ -226,20 +256,12 @@ def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
         for s2 in group:
             lhs = d.maps[group.compose(s1, s2)]
             rhs = compose_map(d.maps[s2].sigma(group, s1), d.maps[s1])
-            equal, witness = maps_equal_mod_ideal(lhs, rhs, X.ideal, budget)
-            report.add(f"cocycle ({s1}, {s2})", equal,
-                       None if equal else str(witness))
-            if not equal and strict:
-                comp = _first_unequal_component(lhs, rhs, gb, budget)
-                raise CocycleViolation(s1, s2, comp, witness)
+            mismatch = _first_mismatch(lhs, rhs, X.ideal, budget)
+            report.add(f"cocycle ({s1}, {s2})", mismatch is None,
+                       None if mismatch is None else str(mismatch[1]))
+            if mismatch is not None and strict:
+                raise CocycleViolation(s1, s2, *mismatch)
     return report
-
-
-def _first_unequal_component(lhs, rhs, gb, budget):
-    for k, ((n1, d1), (n2, d2)) in enumerate(zip(lhs.components, rhs.components)):
-        if not normal_form(n1 * d2 - n2 * d1, gb, budget).is_zero():
-            return k
-    return -1
 
 
 # -- disjointification ---------------------------------------------------------------
@@ -263,6 +285,7 @@ def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
     (every non-identity automorphism moves alpha), exactly when some pair of
     conjugates already meets.  Returns the input unchanged otherwise.
     """
+    budget = _as_budget(budget)
     group = d.group
     X = d.variety
     if _conjugates_disjoint(X, group, budget):
@@ -315,6 +338,7 @@ def _phi_map(d: DescentDatum) -> RationalMap:
 
 def build_phi(d: DescentDatum, budget=None, action=None):
     """Phi: x -> (f_sigma(x))_sigma, and the ideal of Phi(X) in the block ring."""
+    budget = _as_budget(budget)
     group = d.group
     X = d.variety
     action = action or _phi_action(d)
@@ -338,12 +362,9 @@ def build_phi(d: DescentDatum, budget=None, action=None):
             y = big.var(action.variable_index(s, j))
             gens.append(y * den.transplant(big) - num.transplant(big))
     ideal = Ideal(big, gens)
-    if not phi.is_polynomial():
-        prod = big.one
-        for _, den in phi.components:
-            if not den.is_constant():
-                prod = prod * den.transplant(big)
-        ideal = saturate(ideal, prod, budget=budget)
+    prod = _denominator_product([phi])
+    if prod is not None:
+        ideal = saturate(ideal, prod.transplant(big), budget=budget)
     return phi, ideal
 
 
@@ -398,6 +419,24 @@ def _sigma_stable(ideal: Ideal, group, budget=None) -> bool:
     )
 
 
+def _certify_y(y_ideal: Ideal, group, certificates, budget):
+    """Certify Y sigma-stable, then trace-descend it to rational generators.
+
+    Records y_sigma_stable and y_rational_generators in `certificates` and
+    returns the descended ideal; a failed certificate raises.
+    """
+    certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group, budget)
+    if not certificates["y_sigma_stable"]:
+        raise VerificationError("Y is not stable under the group action")
+    y_ideal = _trace_descend_generators(y_ideal, group, budget)
+    certificates["y_rational_generators"] = all(
+        g.has_rational_coefficients() for g in y_ideal.generators
+    )
+    if not certificates["y_rational_generators"]:
+        raise VerificationError("trace descent left non-rational generators")
+    return y_ideal
+
+
 def _x_stable_and_trivial(d: DescentDatum, budget=None):
     group = d.group
     X = d.variety
@@ -417,9 +456,13 @@ def descend(
     prune=False,
     want_inverse=True,
 ) -> DescentResult:
-    """Run the full pipeline; every certificate is verified, never assumed."""
+    """Run the full pipeline; every certificate is verified, never assumed.
+
+    The budget caps the reduction steps of the whole run.
+    """
+    budget = _as_budget(budget)
     group = d.group
-    report = verify_datum(d, budget=budget, strict=True)
+    verify_datum(d, budget=budget, strict=True)
     certificates = {
         "datum_cocycle": True,
         "datum_into_conjugate": True,
@@ -428,17 +471,10 @@ def descend(
     if _x_stable_and_trivial(d, budget):
         # X is fixed by every sigma and the datum is trivial: X is already a
         # model over the fixed field after trace-descending its generators.
-        y_ideal = _trace_descend_generators(d.variety.ideal, group, budget)
+        certificates["disjoint_conjugates"] = True
+        y_ideal = _certify_y(d.variety.ideal, group, certificates, budget)
         R = identity_map(d.variety.ring)
-        certificates.update(
-            disjoint_conjugates=True,
-            y_sigma_stable=True,
-            y_rational_generators=all(
-                g.has_rational_coefficients() for g in y_ideal.generators
-            ),
-            descent_relation=True,
-            inverse_recovered=True,
-        )
+        certificates.update(descent_relation=True, inverse_recovered=True)
         return DescentResult(
             group=group,
             datum=d,
@@ -487,45 +523,24 @@ def descend(
     # gives R^-1 below unless pruning changes the target coordinates.
     graph = _graph_basis(R, Xw.ideal, tnames, budget)
     y_ideal = _second_block(*graph)
-    y_ring = y_ideal.ring
 
-    certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group, budget)
-    if not certificates["y_sigma_stable"]:
-        raise VerificationError("Y is not stable under the group action")
-
-    y_ideal = _trace_descend_generators(y_ideal, group, budget)
-    certificates["y_rational_generators"] = all(
-        g.has_rational_coefficients() for g in y_ideal.generators
-    )
-    if not certificates["y_rational_generators"]:
-        raise VerificationError("trace descent left non-rational generators")
-
-    inverse = None
+    # Pruning reads only reduced bases, which depend on the ideal alone, so
+    # Y is certified once, on its final coordinates.
     pruned = ()
     if prune:
         y_ideal, R, pruned = _prune_coordinates(y_ideal, R, budget)
-        y_ring = y_ideal.ring
-        certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group, budget)
-        y_ideal = _trace_descend_generators(y_ideal, group, budget)
-        certificates["y_rational_generators"] = all(
-            g.has_rational_coefficients() for g in y_ideal.generators
-        )
-        if not (certificates["y_sigma_stable"]
-                and certificates["y_rational_generators"]):
-            raise VerificationError("pruning broke a certificate")
+    y_ideal = _certify_y(y_ideal, group, certificates, budget)
 
     # Relation R = R^sigma o f_sigma on the working model.
-    relation = True
     for s in group:
-        rhs = compose_map(R.sigma(group, s), dd.maps[s])
-        equal, witness = maps_equal_mod_ideal(R, rhs, Xw.ideal, budget)
-        if not equal:
-            relation = False
+        relation, witness = _relation(R, dd, s, budget)
+        if not relation:
             break
     certificates["descent_relation"] = relation
     if not relation:
         raise VerificationError("R != R^sigma o f_sigma on X", witness)
 
+    inverse = None
     if want_inverse:
         if pruned:
             inverse = recover_inverse(R, Xw.ideal, y_ideal, budget=budget)
@@ -538,25 +553,21 @@ def descend(
     if dd is not d:
         R, inverse = _restrict_to_original(d, dd, R, inverse)
         certificates["descent_relation"] = all(
-            maps_equal_mod_ideal(
-                R, compose_map(R.sigma(group, s), d.maps[s]), d.variety.ideal, budget
-            )[0]
-            for s in group
+            _relation(R, d, s, budget)[0] for s in group
         )
         if not certificates["descent_relation"]:
             raise VerificationError("R != R^sigma o f_sigma after restriction")
 
     if inverse is not None:
-        sample = d.variety
-        ok = _verify_inverse(R, inverse, sample.ideal, y_ideal, budget)
-        if not ok:
+        checks = _verify_inverse(R, inverse, d.variety.ideal, y_ideal, budget)
+        if not all(ok for ok, _ in checks):
             inverse = None
             certificates["inverse_recovered"] = False
 
     return DescentResult(
         group=group,
         datum=d,
-        y_ring=y_ring,
+        y_ring=y_ideal.ring,
         y_generators=y_ideal.generators,
         y_ideal=y_ideal,
         map=R,
@@ -586,16 +597,20 @@ def _restrict_to_original(d, dd, R, inverse):
 
 
 def _verify_inverse(R, Rinv, x_ideal, y_ideal, budget):
-    ident_x = identity_map(x_ideal.ring)
-    ident_y = identity_map(y_ideal.ring)
-    try:
-        back = compose_map(Rinv, R)
-        ok1, _ = maps_equal_mod_ideal(back, ident_x, x_ideal, budget)
-        forth = compose_map(R, Rinv)
-        ok2, _ = maps_equal_mod_ideal(forth, ident_y, y_ideal, budget)
-    except ZeroDenominator:
-        return False
-    return ok1 and ok2
+    """Rinv o R = id on X, then R o Rinv = id on Y: one (ok, witness) per direction.
+
+    A denominator that vanishes fails its own direction, with the
+    ZeroDenominator as the witness.
+    """
+    checks = []
+    for outer, inner, ideal in ((Rinv, R, x_ideal), (R, Rinv, y_ideal)):
+        try:
+            checks.append(maps_equal_mod_ideal(
+                compose_map(outer, inner), identity_map(ideal.ring), ideal, budget
+            ))
+        except ZeroDenominator as exc:
+            checks.append((False, exc))
+    return checks
 
 
 def recover_inverse(R: RationalMap, I_X: Ideal, I_Y: Ideal, budget=None):
@@ -603,6 +618,7 @@ def recover_inverse(R: RationalMap, I_X: Ideal, I_Y: Ideal, budget=None):
 
     Soft outcome: returns None when no usable elements appear.
     """
+    budget = _as_budget(budget)
     gb, split = _graph_basis(R, I_X, I_Y.ring.variables, budget)
     return _inverse_from_graph(gb, split, I_X.ring.nvars, I_Y, budget)
 
@@ -689,11 +705,11 @@ def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
     optional inverse (a loaded result document).  A failed check is reported
     with its witness, not raised.
     """
+    budget = _as_budget(budget)
     report = DatumReport()
     datum = problem.datum
     group = problem.group
     X = datum.variety
-    y_ideal = Ideal(claimed.y_ring, list(claimed.y_generators))
     R = claimed.map
 
     report.add(
@@ -702,11 +718,9 @@ def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
     )
 
     # R(X) lands inside Y: each Y generator composed with R vanishes on X.
-    x_ideal = X.ideal
-    x_gb = _equality_basis(x_ideal, [R], budget)
-    for gi, P in enumerate(claimed.y_generators):
-        num, _ = _substitute_fraction(P, R.numerators(), R.denominators(), X.ring)
-        rem = normal_form(num, x_gb, budget)
+    x_gb = _equality_basis(X.ideal, [R], budget)
+    rems = _composed_normal_forms(claimed.y_generators, R, x_gb, budget)
+    for gi, rem in enumerate(rems):
         ok = rem.is_zero()
         report.add(f"image containment generator_{gi}", ok,
                    None if ok else str(rem))
@@ -715,29 +729,18 @@ def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
         if s == group.identity_index:
             continue
         try:
-            rhs = compose_map(R.sigma(group, s), datum.maps[s])
-            equal, witness = maps_equal_mod_ideal(R, rhs, x_ideal, budget)
+            equal, witness = _relation(R, datum, s, budget)
         except ZeroDenominator as exc:
             equal, witness = False, exc
         report.add(f"descent relation {problem.labels[s]}", equal,
                    None if equal else str(witness))
 
     if claimed.inverse is not None:
-        inv = claimed.inverse
-        try:
-            back = compose_map(inv, R)
-            ok1, w1 = maps_equal_mod_ideal(back, identity_map(X.ring), x_ideal, budget)
-        except ZeroDenominator as exc:
-            ok1, w1 = False, exc
-        report.add("inverse composition on X", ok1, None if ok1 else str(w1))
-        try:
-            forth = compose_map(R, inv)
-            ok2, w2 = maps_equal_mod_ideal(
-                forth, identity_map(claimed.y_ring), y_ideal, budget
-            )
-        except ZeroDenominator as exc:
-            ok2, w2 = False, exc
-        report.add("inverse composition on Y", ok2, None if ok2 else str(w2))
+        y_ideal = Ideal(claimed.y_ring, list(claimed.y_generators))
+        checks = _verify_inverse(R, claimed.inverse, X.ideal, y_ideal, budget)
+        for where, (ok, witness) in zip(("X", "Y"), checks):
+            report.add(f"inverse composition on {where}", ok,
+                       None if ok else str(witness))
     return report
 
 
@@ -752,6 +755,7 @@ def descend_morphism(
     Returns (DescentResult, L) with L o R = phi modulo I(X) and L defined
     over the fixed field.
     """
+    budget = _as_budget(budget)
     group = d.group
     X = d.variety
     if any(not g.has_rational_coefficients() for g in Z.generators):
@@ -762,15 +766,11 @@ def descend_morphism(
         raise InputError("phi must land in Z's ambient space")
 
     gb = _equality_basis(X.ideal, [phi], budget)
-    for P in Z.generators:
-        num, _ = _substitute_fraction(
-            P, phi.numerators(), phi.denominators(), X.ring
-        )
-        if not normal_form(num, gb, budget).is_zero():
+    for rem in _composed_normal_forms(Z.generators, phi, gb, budget):
+        if not rem.is_zero():
             raise InputError("phi does not map X into Z")
     for s in group:
-        rhs = compose_map(phi.sigma(group, s), d.maps[s])
-        equal, witness = maps_equal_mod_ideal(phi, rhs, X.ideal, budget)
+        equal, witness = _relation(phi, d, s, budget)
         if not equal:
             raise MorphismIncompatible(s, witness)
 
@@ -780,16 +780,11 @@ def descend_morphism(
             "morphism transport needs an explicit inverse of R"
         )
     y_gb = result.y_ideal.groebner_basis(budget=budget)
-    L = compose_map(phi, result.inverse)
-    L = _reduce_map(L, y_gb, budget)
-
-    for s in group:
-        equal, witness = maps_equal_mod_ideal(
-            L.sigma(group, s), L, result.y_ideal, budget
-        )
-        if not equal:
-            raise NotKRational("transported morphism is not fixed-field rational",
-                               witness)
+    L = _reduce_map(compose_map(phi, result.inverse), y_gb, budget)
+    rational, witness = _sigma_fixed(L, group, result.y_ideal, budget)
+    if not rational:
+        raise NotKRational("transported morphism is not fixed-field rational",
+                           witness)
     back = compose_map(L, result.map)
     equal, witness = maps_equal_mod_ideal(back, phi, X.ideal, budget)
     if not equal:
@@ -801,15 +796,15 @@ def transport_automorphisms(result: DescentResult, G, budget=None):
     """H = R G R^{-1} on Y, verified closed under the group action."""
     if result.inverse is None:
         raise MissingInverse("automorphism transport needs an inverse of R")
+    budget = _as_budget(budget)
     d = result.datum
     group = result.group
     X = d.variety
     x_gb = _equality_basis(X.ideal, list(G) + list(d.maps), budget)
 
     for g in G:
-        for gi, P in enumerate(X.generators):
-            num, _ = _substitute_fraction(P, g.numerators(), g.denominators(), X.ring)
-            if not normal_form(num, x_gb, budget).is_zero():
+        for gi, rem in enumerate(_composed_normal_forms(X.generators, g, x_gb, budget)):
+            if not rem.is_zero():
                 raise InputError(
                     f"input map {G.index(g)} is not an automorphism of X "
                     f"(generator {gi} not preserved)"
@@ -859,12 +854,10 @@ def compare_models(model1, model2, d: DescentDatum, budget=None) -> RationalMap:
     if R1_inv is None:
         raise MissingInverse("compare_models needs an inverse for the first model")
 
-    group = d.group
-    X = d.variety
+    budget = _as_budget(budget)
     for label, R in (("first", R1), ("second", R2)):
-        for s in group:
-            rhs = compose_map(R.sigma(group, s), d.maps[s])
-            equal, witness = maps_equal_mod_ideal(R, rhs, X.ideal, budget)
+        for s in d.group:
+            equal, witness = _relation(R, d, s, budget)
             if not equal:
                 raise VerificationError(
                     f"{label} model does not satisfy R = R^sigma o f_sigma",
@@ -872,10 +865,8 @@ def compare_models(model1, model2, d: DescentDatum, budget=None) -> RationalMap:
                 )
 
     y1_gb = Y1.groebner_basis(budget=budget)
-    J = compose_map(R2, R1_inv)
-    J = _reduce_map(J, y1_gb, budget)
-    for s in group:
-        equal, witness = maps_equal_mod_ideal(J.sigma(group, s), J, Y1, budget)
-        if not equal:
-            raise NotKRational("comparison map is not fixed-field rational", witness)
+    J = _reduce_map(compose_map(R2, R1_inv), y1_gb, budget)
+    rational, witness = _sigma_fixed(J, d.group, Y1, budget)
+    if not rational:
+        raise NotKRational("comparison map is not fixed-field rational", witness)
     return J

@@ -7,8 +7,6 @@ blowup (ResourceLimit on breach, never a silent hang).
 
 from __future__ import annotations
 
-import os
-
 from . import kernel
 from .errors import InputError, ZeroDenominator
 from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap
@@ -22,26 +20,9 @@ __all__ = [
     "saturate",
     "image_ideal",
     "ideals_equal",
-    "default_budget",
 ]
 
 DEFAULT_BUDGET = 10**6
-_BUDGET_ENV = "WEILDESCENT_BUDGET"
-
-
-def default_budget():
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_BUDGET
-
-
-def _order_spec(order: MonomialOrder):
-    return (order.kind, order.split)
-
 
 class Ideal:
     __slots__ = ("ring", "generators", "_gb_cache")
@@ -107,8 +88,13 @@ class GroebnerBasis:
 
 
 def _as_budget(budget):
+    """The one-element list of remaining steps that every kernel call draws from.
+
+    An int (or None, meaning DEFAULT_BUDGET) becomes a fresh list; a list is
+    passed through, so converting once at an entry point caps the whole run.
+    """
     if budget is None:
-        return [default_budget()]
+        return [DEFAULT_BUDGET]
     if isinstance(budget, list):
         return budget
     return [budget]
@@ -119,7 +105,7 @@ def groebner(I: Ideal, order=None, budget=None) -> GroebnerBasis:
     order = order or I.ring.order
     budget = _as_budget(budget)
     gens = [dict(g.terms) for g in I.generators]
-    out = kernel.buchberger(gens, _order_spec(order), budget)
+    out = kernel.buchberger(gens, order.key, budget)
     ring = I.ring if I.ring.order == order else I.ring.with_order(order)
     elements = [MultiPoly(ring, terms) for terms in out]
     return GroebnerBasis(ring, order, elements)
@@ -131,7 +117,7 @@ def normal_form(P: MultiPoly, gb: GroebnerBasis, budget=None) -> MultiPoly:
         raise InputError("polynomial and basis live in different rings")
     budget = _as_budget(budget)
     rem = kernel.normal_form(
-        dict(P.terms), [dict(g.terms) for g in gb.elements], _order_spec(gb.order), budget
+        dict(P.terms), [dict(g.terms) for g in gb.elements], gb.order.key, budget
     )
     return MultiPoly(gb.ring, rem)
 
@@ -193,23 +179,35 @@ def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
     big = PolyRing(ring.field, (aux,) + ring.variables, MonomialOrder("block", split=1))
     gens = [g.transplant(big) for g in I.generators]
     gens.append(big.one - big.var(aux) * h.transplant(big))
-    extended = Ideal(big, gens)
-    elim = eliminate(extended, [aux], budget=budget)
-    # eliminate() returns a fresh grevlex ring over the kept names; transplant
-    # back into the caller's ring so downstream code sees familiar objects.
-    return Ideal(ring, [g.transplant(ring) for g in elim.generators])
+    gb = Ideal(big, gens).groebner_basis(order=big.order, budget=budget)
+    # The basis elements free of aux generate the saturation; they move back
+    # into the caller's ring so downstream code sees familiar objects.
+    return Ideal(
+        ring, [g.transplant(ring) for g in gb.elements if not g.uses_variable(0)]
+    )
+
+
+def _denominator_product(maps):
+    """Product of the maps' non-constant denominators, or None if there are none."""
+    prod = None
+    for f in maps:
+        for _, den in f.components:
+            if not den.is_constant():
+                prod = den if prod is None else prod * den
+    return prod
 
 
 def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, budget=None):
     """Block-order basis of the graph of F on V(I_source), denominators saturated.
 
     The first block holds the source variables, then one auxiliary variable
-    when F has denominators; the second block holds the target variables
-    (a tuple of names).  Returns (basis, size of the first block).
+    when F has non-constant denominators; the second block holds the target
+    variables (a tuple of names).  Returns (basis, size of the first block).
     """
     ring = I_source.ring
     names = list(ring.variables)
-    if not F.is_polynomial():
+    prod = _denominator_product([F])
+    if prod is not None:
         names.append(_fresh_name("_sat", set(names) | set(target_vars)))
     split = len(names)
     big = PolyRing(
@@ -218,12 +216,8 @@ def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, budget=None):
     gens = [g.transplant(big) for g in I_source.generators]
     for tname, (num, den) in zip(target_vars, F.components):
         gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
-    if split > ring.nvars:
-        prod = big.one
-        for _, den in F.components:
-            if not den.is_constant():
-                prod = prod * den.transplant(big)
-        gens.append(big.one - big.var(split - 1) * prod)
+    if prod is not None:
+        gens.append(big.one - big.var(split - 1) * prod.transplant(big))
     return Ideal(big, gens).groebner_basis(order=big.order, budget=budget), split
 
 

@@ -31,7 +31,7 @@ class MonomialOrder:
     monomial involving them is larger than any monomial free of them.
     """
 
-    __slots__ = ("kind", "split")
+    __slots__ = ("kind", "split", "key")
 
     def __init__(self, kind="grevlex", split=None):
         if kind not in ("lex", "grevlex", "block"):
@@ -40,18 +40,21 @@ class MonomialOrder:
             raise InputError("block orders need a split point; others must not have one")
         self.kind = kind
         self.split = split
-
-    def key(self, exps):
-        """A tuple that sorts monomials ascending in this order.
-
-        Keys add componentwise under monomial multiplication.
-        """
-        if self.kind == "lex":
-            return exps
-        if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        k = self.split
-        return _grevlex_key(exps[:k]) + _grevlex_key(exps[k:])
+        # key(exps) is a tuple that sorts monomials ascending in this order;
+        # keys add componentwise under monomial multiplication.  The block
+        # key is written out in full: it is the pruning hot loop.
+        if kind == "lex":
+            self.key = lambda e: e
+        elif kind == "grevlex":
+            self.key = lambda e: (sum(e),) + tuple(-x for x in reversed(e))
+        else:
+            def block_key(e, k=split):
+                hi, lo = e[:k], e[k:]
+                return (
+                    (sum(hi),) + tuple(-x for x in reversed(hi))
+                    + (sum(lo),) + tuple(-x for x in reversed(lo))
+                )
+            self.key = block_key
 
     def __eq__(self, other):
         return (
@@ -67,10 +70,6 @@ class MonomialOrder:
         if self.kind == "block":
             return f"MonomialOrder('block', split={self.split})"
         return f"MonomialOrder({self.kind!r})"
-
-
-def _grevlex_key(exps):
-    return (sum(exps),) + tuple(-e for e in reversed(exps))
 
 
 class PolyRing:

@@ -172,6 +172,24 @@ class TestCheckModel:
         assert code == 1
         assert "FAIL" in out and "witness" in out
 
+    def test_corrupted_inverse_fails_both_directions(self, tmp_path, capsys):
+        text = read_fixture("humbert_claimed.txt").replace(
+            "component = 1/2*w1 - 1/2*i*w1", "component = 1/2*w1 - 1/2*i*w1 + 1"
+        )
+        bad = tmp_path / "claimed.txt"
+        bad.write_text(text)
+        code, out, _ = run(
+            capsys,
+            "check-model",
+            fixture_path("humbert.txt"),
+            "--claimed",
+            str(bad),
+        )
+        assert code == 1
+        lines = [l for l in out.splitlines() if "inverse composition" in l]
+        assert len(lines) == 2
+        assert all(l.startswith("FAIL") and "(witness: " in l for l in lines)
+
     def test_missing_component_exit_two(self, tmp_path, capsys):
         text = read_fixture("humbert_claimed.txt").replace(
             "component = (1 + i)*x4\n", ""

@@ -95,6 +95,13 @@ class TestVerifyDatum:
         failing = [w for _, ok, w in report.checks if not ok]
         assert failing and all(w is not None for w in failing)
 
+    def test_sign_flip_names_component_and_witness(self):
+        d = self.mutate(["i*x1", "i*x3", "-1*i*x2", "i*x4"])
+        with pytest.raises(wd.CocycleViolation) as excinfo:
+            wd.verify_datum(d, strict=True)
+        assert excinfo.value.component == 1
+        assert str(excinfo.value.witness) == "2*x2"
+
     def test_report_mode_lists_all_checks(self, humbert):
         report = wd.verify_datum(humbert, strict=False)
         labels = [label for label, _, _ in report.checks]
@@ -258,6 +265,53 @@ class TestDescend:
         assert [g.terms for g in a.y_generators] == [g.terms for g in b.y_generators]
         assert a.map.components == b.map.components
         assert a.inverse.components == b.inverse.components
+
+
+class TestRunBudget:
+    """The budget caps the reduction steps of a whole run, not of each call."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        kernel = sys.modules["weildescent.kernel"]
+        spent = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                budget = args[-1]
+                before = budget[0]
+                try:
+                    return fn(*args)
+                finally:
+                    spent[0] += before - budget[0]
+            return wrapper
+
+        for name in ("buchberger", "normal_form"):
+            monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
+        return spent
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_total_steps_within_budget(self, monkeypatch, prune):
+        spent = self.count_steps(monkeypatch)
+
+        def run(budget=None):
+            # A fresh datum each time, so no basis is cached from a prior run.
+            d = humbert_datum()
+            spent[0] = 0
+            wd.descend(d, prune=prune, budget=budget)
+            return spent[0]
+
+        total = run()
+        assert run(budget=total) == total
+        with pytest.raises(wd.ResourceLimit):
+            run(budget=total - 1)
+        # total - 1 steps ran; the last decrement is the refused step.
+        assert spent[0] == total
+
+    def test_largest_single_call_is_not_enough(self):
+        # 1385 steps cover the largest single Groebner call of a pruned
+        # Humbert run, but not the run.
+        with pytest.raises(wd.ResourceLimit):
+            wd.descend(humbert_datum(), prune=True, budget=1385)
 
 
 class TestMorphismDescent:

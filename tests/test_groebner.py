@@ -151,12 +151,17 @@ class TestImageIdeal:
 
 
 class TestKernels:
-    def test_both_kernels_agree(self, qring):
+    @pytest.mark.parametrize(
+        "order",
+        [wd.MonomialOrder("lex"), wd.MonomialOrder("grevlex"),
+         wd.MonomialOrder("block", split=1)],
+        ids=["lex", "grevlex", "block"],
+    )
+    def test_both_kernels_agree(self, qring, order):
         from weildescent import _pykernel
 
         gens = [p("x^2 + y*z - 1", qring), p("y^2 - x*z", qring)]
         dicts = [g.terms for g in gens]
-        order = ("grevlex", None)
-        py = _pykernel.buchberger(dicts, order, [10**6])
-        active = wd.groebner(wd.Ideal(qring, gens))
+        py = _pykernel.buchberger(dicts, order.key, [10**6])
+        active = wd.groebner(wd.Ideal(qring, gens), order)
         assert py == [g.terms for g in active.elements]
