@@ -2,8 +2,9 @@
 
 Polynomials enter as dicts exponent-tuple -> coefficient, where coefficients
 are opaque field elements supporting +, -, *, inverse() and is_zero().  The
-monomial order enters as its key function (MonomialOrder.key).
-weildescent.kernel re-exports the two entry points.
+monomial order enters as its key function (MonomialOrder.key).  A basis
+leaves buchberger, and divisors enter normal_form, as (lead monomial, monic
+terms) pairs.  weildescent.kernel re-exports the two entry points.
 
 The budget is a single-element list of remaining reduction steps, decremented
 in place so one cap can span a whole pipeline.
@@ -42,13 +43,13 @@ def _spend(budget, amount=1):
 
 
 def _make_monic(terms, keyf):
+    """(lead monomial, monic terms): the divisor form of a nonzero polynomial."""
     lead = max(terms, key=keyf)
-    lc = terms[lead]
-    inv = lc.inverse()
-    return {m: c * inv for m, c in terms.items()}
+    inv = terms[lead].inverse()
+    return lead, {m: c * inv for m, c in terms.items()}
 
 
-def _reduce(f, basis, keyf, budget, full=True):
+def _reduce(f, basis, keyf, budget):
     """Remainder of f modulo a list of (lead_mono, terms_dict) monic divisors."""
     h = dict(f)
     remainder = {}
@@ -60,9 +61,6 @@ def _reduce(f, basis, keyf, budget, full=True):
                 hit = (bm, bt)
                 break
         if hit is None:
-            if not full:
-                remainder.update(h)
-                return remainder
             remainder[lead] = h.pop(lead)
             continue
         _spend(budget)
@@ -80,29 +78,20 @@ def _reduce(f, basis, keyf, budget, full=True):
     return remainder
 
 
-def normal_form(f, basis_polys, keyf, budget):
-    """Full remainder of f modulo a (Groebner) basis."""
-    basis = []
-    for terms in basis_polys:
-        if not terms:
-            continue
-        monic = _make_monic(terms, keyf)
-        basis.append((max(monic, key=keyf), monic))
-    return _reduce(f, basis, keyf, budget)
+def normal_form(f, divisors, keyf, budget):
+    """Full remainder of f modulo (lead, monic terms) divisors, e.g. a basis
+    as buchberger returns it."""
+    return _reduce(f, divisors, keyf, budget)
 
 
 def buchberger(gens, keyf, budget):
-    """Reduced, monic Groebner basis of the given generators.
+    """Reduced, monic Groebner basis of the given generators, as a list of
+    (lead monomial, monic terms) sorted by lead.
 
     Degree-ordered pair queue with the product and chain criteria.
     Deterministic: identical inputs produce identical output lists.
     """
-    basis = []       # list of (lead_mono, monic terms)
-    for terms in gens:
-        if terms:
-            monic = _make_monic(terms, keyf)
-            lead = max(monic, key=keyf)
-            basis.append((lead, monic))
+    basis = [_make_monic(terms, keyf) for terms in gens if terms]
     basis.sort(key=lambda bt: keyf(bt[0]))
 
     pending = set()
@@ -153,8 +142,7 @@ def buchberger(gens, keyf, budget):
                 spoly[mm] = nxt
         rem = _reduce(spoly, basis, keyf, budget)
         if rem:
-            monic = _make_monic(rem, keyf)
-            basis.append((max(monic, key=keyf), monic))
+            basis.append(_make_monic(rem, keyf))
             push_pairs(len(basis) - 1)
 
     return _interreduce(basis, keyf, budget)
@@ -181,5 +169,5 @@ def _interreduce(basis, keyf, budget):
         rem = _reduce(terms, others, keyf, budget)
         if rem:
             out.append(_make_monic(rem, keyf))
-    out.sort(key=lambda t: keyf(max(t, key=keyf)))
+    out.sort(key=lambda bt: keyf(bt[0]))
     return out

@@ -63,15 +63,9 @@ def _build_parser():
 
 
 def _effective(args, problem):
-    opts = dict(problem.options)
-    budget = args.budget if args.budget is not None else opts.get("budget")
-    prune = opts.get("prune", False)
-    if getattr(args, "prune", None):
-        prune = True
-    want_inverse = opts.get("inverse", True)
-    if getattr(args, "no_inverse", False):
-        want_inverse = False
-    return budget, prune, want_inverse
+    prune = problem.options.get("prune", False) or bool(args.prune)
+    want_inverse = problem.options.get("inverse", True) and not args.no_inverse
+    return prune, want_inverse
 
 
 def _write(text, path):
@@ -83,27 +77,25 @@ def _write(text, path):
 
 
 def cmd_descend(args) -> int:
-    problem = load_problem(args.file, order=args.order)
-    budget, prune, want_inverse = _effective(args, problem)
-    result = descend(problem.datum, budget=budget, prune=prune,
+    problem = load_problem(args.file, order=args.order, budget=args.budget)
+    prune, want_inverse = _effective(args, problem)
+    result = descend(problem.datum, budget=problem.budget, prune=prune,
                      want_inverse=want_inverse)
     _write(render_result(result), args.output)
     return EXIT_OK
 
 
 def cmd_verify_datum(args) -> int:
-    problem = load_problem(args.file)
-    budget, _, _ = _effective(args, problem)
-    report = verify_datum(problem.datum, budget=budget, strict=False)
+    problem = load_problem(args.file, budget=args.budget)
+    report = verify_datum(problem.datum, budget=problem.budget, strict=False)
     sys.stdout.write(render_report(report))
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
 def cmd_check_model(args) -> int:
-    problem = load_problem(args.file)
-    budget, _, _ = _effective(args, problem)
+    problem = load_problem(args.file, budget=args.budget)
     claimed = load_claimed_model(args.claimed, problem)
-    report = check_claimed_model(problem, claimed, budget)
+    report = check_claimed_model(problem, claimed, problem.budget)
     sys.stdout.write(render_report(report))
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 

@@ -27,6 +27,7 @@ from .groebner import (
     MonomialOrder,
     _as_budget,
     _denominator_product,
+    _fresh_name,
     _graph_basis,
     _second_block,
     ideals_equal,
@@ -66,25 +67,14 @@ __all__ = [
 class AffineVariety:
     """V(generators) in affine space over L; inconsistent systems are rejected."""
 
-    __slots__ = ("ring", "generators", "_ideal")
+    __slots__ = ("ring", "generators", "ideal")
 
     def __init__(self, ring: PolyRing, generators, budget=None):
-        gens = [g for g in generators if not g.is_zero()]
-        for g in gens:
-            if g.ring != ring:
-                raise InputError("variety generators must live in one ring")
         self.ring = ring
-        self.generators = tuple(gens)
-        self._ideal = Ideal(ring, gens)
-        if self._ideal.is_unit(budget=budget):
+        self.ideal = Ideal(ring, generators)
+        self.generators = self.ideal.generators
+        if self.ideal.is_unit(budget=budget):
             raise InputError("the given equations have no common zero (unit ideal)")
-
-    @property
-    def ideal(self) -> Ideal:
-        return self._ideal
-
-    def conjugate_ideal(self, group, sigma) -> Ideal:
-        return self._ideal.sigma(group, sigma)
 
     def __repr__(self):
         return f"AffineVariety<{', '.join(str(g) for g in self.generators)}>"
@@ -269,7 +259,7 @@ def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
 
 def _conjugates_disjoint(X: AffineVariety, group, budget=None) -> bool:
     """Whether the conjugates of X are pairwise disjoint (each sum is the unit ideal)."""
-    conj = [X.conjugate_ideal(group, s) for s in group]
+    conj = [X.ideal.sigma(group, s) for s in group]
     for i in range(len(conj)):
         for j in range(i + 1, len(conj)):
             joint = Ideal(X.ring, list(conj[i].generators) + list(conj[j].generators))
@@ -292,16 +282,10 @@ def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
         return d
 
     ring = X.ring
-    extra = []
-    taken = set(ring.variables)
-    non_identity = [s for s in group if s != group.identity_index]
-    for k in range(len(non_identity)):
-        name = f"x{ring.nvars + k + 1}"
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        extra.append(name)
-    big = PolyRing(ring.field, ring.variables + tuple(extra), ring.order)
+    extra = ()
+    for k in range(group.order - 1):
+        extra += (_fresh_name(f"x{ring.nvars + k + 1}", ring.variables + extra),)
+    big = PolyRing(ring.field, ring.variables + extra, ring.order)
     alpha = ring.field.gen
     gens = [g.transplant(big) for g in X.generators]
     for name in extra:
@@ -369,16 +353,6 @@ def build_phi(d: DescentDatum, budget=None, action=None):
 
 
 # -- the pipeline -----------------------------------------------------------------------
-
-
-def _target_names(count, taken):
-    names = []
-    for k in range(1, count + 1):
-        name = f"t{k}"
-        while name in taken:
-            name = "_" + name
-        names.append(name)
-    return tuple(names)
 
 
 def _trace_descend_generators(ideal: Ideal, group, budget=None):
@@ -511,7 +485,8 @@ def descend(
     if not (certificates["psi_theta_invariant"] and certificates["psi_rational"]):
         raise VerificationError("invariant generators failed their certificates")
 
-    tnames = _target_names(len(invars), set(Xw.ring.variables))
+    taken = set(Xw.ring.variables)
+    tnames = tuple(_fresh_name(f"t{k + 1}", taken) for k in range(len(invars)))
     psi = RationalMap(action.ring, [(E, action.ring.one) for E in invars],
                       normalize=False)
     R = compose_map(psi, phi)
@@ -675,7 +650,7 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
             MonomialOrder("block", split=1),
         )
         moved = Ideal(reordered, [g.transplant(reordered) for g in current.generators])
-        gb = moved.groebner_basis(order=reordered.order, budget=budget)
+        gb = moved.groebner_basis(budget=budget)
         lead = (1,) + (0,) * (reordered.nvars - 1)
         expressible = any(
             g.degree_in(0) == 1

@@ -50,9 +50,6 @@ class Ideal:
         self._gb_cache[order] = gb
         return gb
 
-    def contains(self, P: MultiPoly, budget=None) -> bool:
-        return normal_form(P, self.groebner_basis(budget=budget), budget).is_zero()
-
     def is_unit(self, budget=None) -> bool:
         gb = self.groebner_basis(budget=budget)
         return len(gb.elements) == 1 and gb.elements[0].is_constant()
@@ -65,12 +62,18 @@ class Ideal:
 
 
 class GroebnerBasis:
-    __slots__ = ("ring", "order", "elements")
+    """A reduced basis in its ring's order, kept as the kernel returns it.
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, elements):
+    `divisors` are (lead monomial, monic terms) pairs sorted by lead, ready
+    for kernel.normal_form; `elements` are the same polynomials.
+    """
+
+    __slots__ = ("ring", "divisors", "elements")
+
+    def __init__(self, ring: PolyRing, divisors):
         self.ring = ring
-        self.order = order
-        self.elements = tuple(elements)
+        self.divisors = tuple(divisors)
+        self.elements = tuple(MultiPoly(ring, terms) for _, terms in self.divisors)
 
     def __repr__(self):
         return f"GroebnerBasis<{', '.join(str(g) for g in self.elements)}>"
@@ -79,12 +82,11 @@ class GroebnerBasis:
         return (
             isinstance(other, GroebnerBasis)
             and self.ring == other.ring
-            and self.order == other.order
             and self.elements == other.elements
         )
 
     def __hash__(self):
-        return hash((self.ring, self.order, self.elements))
+        return hash((self.ring, self.elements))
 
 
 def _as_budget(budget):
@@ -103,12 +105,10 @@ def _as_budget(budget):
 def groebner(I: Ideal, order=None, budget=None) -> GroebnerBasis:
     """The reduced Groebner basis of I under the given order."""
     order = order or I.ring.order
-    budget = _as_budget(budget)
-    gens = [dict(g.terms) for g in I.generators]
-    out = kernel.buchberger(gens, order.key, budget)
+    gens = [g.terms for g in I.generators]
+    divisors = kernel.buchberger(gens, order.key, _as_budget(budget))
     ring = I.ring if I.ring.order == order else I.ring.with_order(order)
-    elements = [MultiPoly(ring, terms) for terms in out]
-    return GroebnerBasis(ring, order, elements)
+    return GroebnerBasis(ring, divisors)
 
 
 def normal_form(P: MultiPoly, gb: GroebnerBasis, budget=None) -> MultiPoly:
@@ -116,9 +116,7 @@ def normal_form(P: MultiPoly, gb: GroebnerBasis, budget=None) -> MultiPoly:
     if P.ring.variables != gb.ring.variables or P.ring.field != gb.ring.field:
         raise InputError("polynomial and basis live in different rings")
     budget = _as_budget(budget)
-    rem = kernel.normal_form(
-        dict(P.terms), [dict(g.terms) for g in gb.elements], gb.order.key, budget
-    )
+    rem = kernel.normal_form(P.terms, gb.divisors, gb.ring.order.key, budget)
     return MultiPoly(gb.ring, rem)
 
 
@@ -143,8 +141,7 @@ def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
             drop_indices.add(v)
     elim_ring = _elimination_ring(ring, drop_indices)
     moved = Ideal(elim_ring, [g.transplant(elim_ring) for g in I.generators])
-    gb = moved.groebner_basis(order=elim_ring.order, budget=budget)
-    return _second_block(gb, len(drop_indices))
+    return _second_block(moved.groebner_basis(budget=budget), len(drop_indices))
 
 
 def _second_block(gb: GroebnerBasis, split) -> Ideal:
@@ -161,12 +158,10 @@ def _second_block(gb: GroebnerBasis, split) -> Ideal:
     return Ideal(ring, out)
 
 
-def _fresh_name(base, taken):
-    name = base
-    k = 0
+def _fresh_name(name, taken):
+    """`name`, with "_" put in front until it is not in `taken`."""
     while name in taken:
-        k += 1
-        name = f"{base}{k}"
+        name = "_" + name
     return name
 
 
@@ -179,7 +174,7 @@ def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
     big = PolyRing(ring.field, (aux,) + ring.variables, MonomialOrder("block", split=1))
     gens = [g.transplant(big) for g in I.generators]
     gens.append(big.one - big.var(aux) * h.transplant(big))
-    gb = Ideal(big, gens).groebner_basis(order=big.order, budget=budget)
+    gb = Ideal(big, gens).groebner_basis(budget=budget)
     # The basis elements free of aux generate the saturation; they move back
     # into the caller's ring so downstream code sees familiar objects.
     return Ideal(
@@ -218,7 +213,7 @@ def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, budget=None):
         gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
     if prod is not None:
         gens.append(big.one - big.var(split - 1) * prod.transplant(big))
-    return Ideal(big, gens).groebner_basis(order=big.order, budget=budget), split
+    return Ideal(big, gens).groebner_basis(budget=budget), split
 
 
 def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Ideal:

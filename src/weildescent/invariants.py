@@ -239,6 +239,6 @@ def _in_subalgebra(candidate, gens, action, budget=None):
     for tag, g in zip(tags, gens):
         relations.append(big.var(tag) - g.transplant(big))
     ideal = Ideal(big, relations)
-    gb = ideal.groebner_basis(order=big.order, budget=budget)
+    gb = ideal.groebner_basis(budget=budget)
     nf = normal_form(candidate.transplant(big), gb, budget=budget)
     return all(not nf.uses_variable(i) for i in range(ny))

@@ -17,7 +17,6 @@ __all__ = [
     "PolyRing",
     "MultiPoly",
     "RationalMap",
-    "poly_sigma",
     "poly_trace",
     "compose_map",
     "identity_map",
@@ -106,17 +105,6 @@ class PolyRing:
 
     # -- constructors ----------------------------------------------------------
 
-    def from_terms(self, terms) -> "MultiPoly":
-        clean = {}
-        for mono, coeff in terms.items():
-            if not isinstance(coeff, NumberFieldElement):
-                coeff = self.field.rational(coeff)
-            if len(mono) != self.nvars:
-                raise InputError("monomial length does not match ring")
-            if not coeff.is_zero():
-                clean[tuple(mono)] = coeff
-        return MultiPoly(self, clean)
-
     @property
     def zero(self):
         return MultiPoly(self, {})
@@ -196,9 +184,6 @@ class MultiPoly:
     def sorted_terms(self):
         key = self.ring.order.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def coefficients(self):
-        return [c for _, c in self.sorted_terms()]
 
     def has_rational_coefficients(self):
         return all(c.is_rational() for c in self.terms.values())
@@ -303,34 +288,13 @@ class MultiPoly:
     def substitute(self, values):
         """Evaluate at a list of polynomials (one per ring variable)."""
         target = values[0].ring if values else self.ring
-        out = target.zero
-        powers = [{} for _ in values]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = values[i] ** e
-            return cache[e]
-
-        for mono, coeff in self.sorted_terms():
-            term = target.constant(coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        ones = [target.one] * len(values)
+        return _substitute_fraction(self, values, ones, target)[0]
 
     def evaluate(self, point):
         """Evaluate at field elements; returns a NumberFieldElement."""
-        field = self.ring.field
-        out = field.zero
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, mono):
-                for _ in range(e):
-                    v = v * x
-            out = out + v
-        return out
+        scalars = PolyRing(self.ring.field, ())
+        return self.substitute([scalars.constant(x) for x in point]).constant_value()
 
     def transplant(self, ring: PolyRing, var_map=None):
         """Move into another ring; variables map by name unless var_map given."""
@@ -391,11 +355,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"<{self}>"
-
-
-def poly_sigma(P: MultiPoly, group, i: int) -> MultiPoly:
-    """P^sigma: apply the automorphism to every coefficient."""
-    return P.sigma(group, i)
 
 
 def poly_trace(P: MultiPoly, group) -> MultiPoly:
@@ -593,9 +552,6 @@ class RationalMap:
     @property
     def target_arity(self):
         return len(self.components)
-
-    def is_polynomial(self):
-        return all(den == den.ring.one for _, den in self.components)
 
     def numerators(self):
         return [num for num, _ in self.components]

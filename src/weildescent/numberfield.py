@@ -427,31 +427,8 @@ def basis_matrix(group: GaloisGroup, basis) -> BasisMatrix:
         raise SingularBasis(f"expected {m} basis elements, got {len(basis)}")
     entries = [[group.apply(i, e) for e in basis] for i in range(m)]
     mat = BasisMatrix(group, basis, entries)
-    if _determinant(field, mat.entries).is_zero():
-        raise SingularBasis("the given elements are not a basis of L over Q")
+    solve_trace_coefficients(mat)  # raises SingularBasis on dependent elements
     return mat
-
-
-def _determinant(field, rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = field.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor.is_zero():
-                continue
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - factor * rows[col][c]
-    return det
 
 
 def solve_trace_coefficients(A: BasisMatrix):

@@ -37,6 +37,7 @@ from typing import Optional
 
 from .descent import AffineVariety, DescentDatum, DescentResult
 from .errors import InputError
+from .groebner import _as_budget
 from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap
 from .numberfield import GaloisGroup, NumberField
 from .parsing import parse_poly
@@ -114,6 +115,7 @@ class ProblemFile:
     group: GaloisGroup
     labels: tuple  # group-element labels, indexed like the group
     datum: DescentDatum
+    budget: list  # the run's one-element step list; loading drew from it
     options: dict = dc_field(default_factory=dict)
 
     @property
@@ -181,8 +183,14 @@ def _parse_components(entries, ring, where):
     return [tuple(c) for c in comps]
 
 
-def load_problem_text(text: str, order=None) -> ProblemFile:
-    """Parse a problem file; `order` ("grevlex" or "lex") overrides [options] order."""
+def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
+    """Parse a problem file.
+
+    `order` ("grevlex" or "lex") overrides [options] order and `budget` (an
+    int) overrides [options] budget.  The budget is converted once: checking
+    the equations while loading draws from it, and it is kept as
+    ProblemFile.budget for the run.
+    """
     sections = parse_sections(text)
     by_name = {}
     for name, entries in sections:
@@ -219,6 +227,7 @@ def load_problem_text(text: str, order=None) -> ProblemFile:
             raise InputError(f"invalid variable name {v!r}")
     options = _parse_options(by_name.get("options", []))
     order_name = order or options.get("order", "grevlex")
+    budget = _as_budget(budget if budget is not None else options.get("budget"))
     ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
     equations = [
         parse_poly(value, ring)
@@ -228,7 +237,7 @@ def load_problem_text(text: str, order=None) -> ProblemFile:
     for key, _, lineno in by_name["variety"]:
         if key not in ("variables", "equation"):
             raise InputError(f"line {lineno}: unknown key {key!r} in [variety]")
-    variety = AffineVariety(ring, equations)
+    variety = AffineVariety(ring, equations, budget=budget)
 
     maps = {}
     label_index = {lab: i for i, lab in enumerate(labels)}
@@ -253,16 +262,19 @@ def load_problem_text(text: str, order=None) -> ProblemFile:
 
     datum = DescentDatum(variety, group, maps)
     return ProblemFile(field=field, group=group, labels=tuple(labels),
-                       datum=datum, options=options)
+                       datum=datum, budget=budget, options=options)
 
 
-def load_problem(path: str, order=None) -> ProblemFile:
+def _read(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read problem file {path}: {exc}") from exc
-    return load_problem_text(text, order=order)
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_problem(path: str, order=None, budget=None) -> ProblemFile:
+    return load_problem_text(_read(path, "problem file"), order=order, budget=budget)
 
 
 # -- claimed models (for independent checking) ---------------------------------------
@@ -313,12 +325,7 @@ def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
 
 
 def load_claimed_model(path: str, problem: ProblemFile) -> ClaimedModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read claimed document {path}: {exc}") from exc
-    return load_claimed_model_text(text, problem)
+    return load_claimed_model_text(_read(path, "claimed document"), problem)
 
 
 # -- serialization ------------------------------------------------------------------

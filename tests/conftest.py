@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -98,3 +99,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """A one-element list that counts the reduction steps every kernel call
+    spends while the test runs: the drop in the budget list it is given."""
+    kernel = sys.modules["weildescent.kernel"]
+    spent = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            budget = args[-1]
+            before = budget[0]
+            try:
+                return fn(*args)
+            finally:
+                spent[0] += before - budget[0]
+        return wrapper
+
+    for name in ("buchberger", "normal_form"):
+        monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
+    return spent

@@ -2,6 +2,7 @@ import pytest
 
 import weildescent as wd
 from weildescent.cli import main
+from weildescent.problemfile import load_problem
 from tests.conftest import fixture_path, read_fixture
 
 
@@ -76,6 +77,23 @@ class TestDescend:
     def test_budget_starved_exit_three(self, capsys):
         code, _, err = run(
             capsys, "descend", fixture_path("humbert.txt"), "--budget", "5"
+        )
+        assert code == 3
+        assert "resource limit" in err
+
+    def test_budget_covers_loading(self, kernel_steps, capsys):
+        # The run's count includes the unit-ideal check made while loading.
+        path = fixture_path("humbert.txt")
+        code, _, _ = run(capsys, "descend", path, "--prune")
+        assert code == 0
+        total = kernel_steps[0]
+        kernel_steps[0] = 0
+        load_problem(path)
+        assert kernel_steps[0] > 0
+        code, _, _ = run(capsys, "descend", path, "--prune", "--budget", str(total))
+        assert code == 0
+        code, _, err = run(
+            capsys, "descend", path, "--prune", "--budget", str(total - 1)
         )
         assert code == 3
         assert "resource limit" in err

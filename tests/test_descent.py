@@ -270,28 +270,9 @@ class TestDescend:
 class TestRunBudget:
     """The budget caps the reduction steps of a whole run, not of each call."""
 
-    @staticmethod
-    def count_steps(monkeypatch):
-        kernel = sys.modules["weildescent.kernel"]
-        spent = [0]
-
-        def counted(fn):
-            def wrapper(*args):
-                budget = args[-1]
-                before = budget[0]
-                try:
-                    return fn(*args)
-                finally:
-                    spent[0] += before - budget[0]
-            return wrapper
-
-        for name in ("buchberger", "normal_form"):
-            monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
-        return spent
-
     @pytest.mark.parametrize("prune", [False, True])
-    def test_total_steps_within_budget(self, monkeypatch, prune):
-        spent = self.count_steps(monkeypatch)
+    def test_total_steps_within_budget(self, kernel_steps, prune):
+        spent = kernel_steps
 
         def run(budget=None):
             # A fresh datum each time, so no basis is cached from a prior run.

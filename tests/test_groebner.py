@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
 from tests.conftest import humbert_datum
@@ -88,8 +89,47 @@ class TestBases:
             ]
 
 
+SYMPY_XYZ = sympy.symbols("x y z")
+
+QQ_I = sympy.QQ.algebraic_field(sympy.I)
+
+# Coefficient fields of the random oracle cases: (field, sympy's domain, a
+# map from power-basis coefficient vectors to elements of that domain).
+ORACLE_FIELDS = {
+    "Q": (wd.NumberField([0, 1], gen_name="q0"), sympy.QQ, lambda v: sympy.QQ(v[0])),
+    "Q(i)": (wd.NumberField([1, 0, 1], gen_name="i"), QQ_I, lambda v: QQ_I(v[::-1])),
+}
+
+
+def oracle_terms(degree):
+    """Term dicts in x, y, z: 1-4 terms, each exponent <= 2, coefficient
+    vectors (in the power basis 1, i) of small integers."""
+    coeff = st.tuples(*[st.integers(-3, 3)] * degree).filter(any)
+    mono = st.tuples(*[st.integers(0, 2)] * 3)
+    return st.dictionaries(mono, coeff, min_size=1, max_size=4)
+
+
+def oracle_cases():
+    """(field name, order, 1-3 generators, a polynomial to reduce)."""
+    def for_field(name):
+        terms = oracle_terms(ORACLE_FIELDS[name][0].degree)
+        return st.tuples(
+            st.just(name),
+            st.sampled_from(["lex", "grevlex"]),
+            st.lists(terms, min_size=1, max_size=3),
+            terms,
+        )
+    return st.sampled_from(sorted(ORACLE_FIELDS)).flatmap(for_field)
+
+
+def to_sympy(P: wd.MultiPoly, name):
+    _, domain, element = ORACLE_FIELDS[name]
+    terms = {m: element(list(c.coeffs)) for m, c in P.terms.items()}
+    return sympy.Poly.from_dict(terms, *SYMPY_XYZ, domain=domain)
+
+
 class TestAgainstSympy:
-    """Independent cross-check of reduced bases over Q."""
+    """Independent cross-check of reduced bases and normal forms."""
 
     CASES = [
         ["x^2 + y^2 - 1", "x - y^2"],
@@ -123,6 +163,31 @@ class TestAgainstSympy:
                 frozenset((m, c.as_rational()) for m, c in g.terms.items())
             )
         assert ours == theirs
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(oracle_cases())
+    def test_random_ideals_match_sympy(self, case):
+        """Reduced basis and normal form equal sympy's on a random ideal."""
+        name, order, gens, target = case
+        field, domain, _ = ORACLE_FIELDS[name]
+        ring = wd.PolyRing(field, ("x", "y", "z"), wd.MonomialOrder(order))
+
+        def poly(terms):
+            return wd.MultiPoly(ring, {m: field.element(c) for m, c in terms.items()})
+
+        gb = wd.groebner(wd.Ideal(ring, [poly(g) for g in gens]))
+        theirs = sympy.groebner(
+            [to_sympy(poly(g), name) for g in gens],
+            *SYMPY_XYZ, order=order, domain=domain,
+        )
+        assert {to_sympy(g, name) for g in gb.elements} == set(theirs.polys)
+        assert len(gb.elements) == len(theirs.polys)
+
+        f = poly(target)
+        _, rem = sympy.reduced(
+            to_sympy(f, name), theirs.polys, *SYMPY_XYZ, order=order, domain=domain
+        )
+        assert to_sympy(wd.normal_form(f, gb), name) == rem
 
 
 class TestImageIdeal:
@@ -164,4 +229,6 @@ class TestKernels:
         dicts = [g.terms for g in gens]
         py = _pykernel.buchberger(dicts, order.key, [10**6])
         active = wd.groebner(wd.Ideal(qring, gens), order)
-        assert py == [g.terms for g in active.elements]
+        assert [terms for _, terms in py] == [g.terms for g in active.elements]
+        for lead, terms in py:
+            assert lead == max(terms, key=order.key)

@@ -40,11 +40,18 @@ class TestArithmetic:
         q = p("x^2 + y", ring)
         out = q.substitute([p("y", ring), p("x*y", ring)])
         assert out == p("y^2 + x*y", ring)
+        # Into another ring: the target is the values' ring.
+        line = wd.PolyRing(ring.field, ("u",))
+        out = q.substitute([p("u - i", line), p("u^3", line)])
+        assert out == p("u^3 + u^2 - 2*i*u - 1", line)
 
     def test_evaluate(self, qi, ring):
         q = p("x^2 + i*y", ring)
         val = q.evaluate([qi.rational(2), qi.rational(3)])
         assert val == qi.element([4, 3])
+        # [DERIVED] at (1 + i, i): (1 + i)^2 + i*i = 2i - 1
+        val = q.evaluate([qi.element([1, 1]), qi.gen])
+        assert val == qi.element([-1, 2])
 
 
 class TestSigmaAndTrace:

@@ -138,11 +138,18 @@ class TestTraceReconstruction:
         assert lam[0] == qi.rational(Fraction(1, 2))
         assert lam[1] == qi.element([0, Fraction(-1, 2)])
 
-    def test_singular_basis_rejected(self, qi, qi_group):
-        one = qi.one
-        collinear = [one + qi.gen, (one + qi.gen) * 2]
-        with pytest.raises(wd.SingularBasis):
-            wd.basis_matrix(qi_group, collinear)
+    @pytest.mark.parametrize("name", ["qi", "cubic"])
+    def test_singular_basis_rejected(self, request, name):
+        field = request.getfixturevalue(name)
+        group = request.getfixturevalue(f"{name}_group")
+        one, a = field.one, field.gen
+        dependent = {
+            "qi": [one + a, (one + a) * 2],
+            # the third element is 3*(first) - 2*(second)
+            "cubic": [one + a, a * a, one * 3 + a * 3 - a * a * 2],
+        }[name]
+        with pytest.raises(wd.SingularBasis, match="not a basis of L over Q"):
+            wd.basis_matrix(group, dependent)
 
     def test_reconstruction_cubic(self, cubic, cubic_group):
         basis = wd.power_basis(cubic)
