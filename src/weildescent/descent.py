@@ -473,7 +473,7 @@ def descend(
 
     action = _phi_action(dd)
     phi = _phi_map(dd)
-    invars = generate_invariants(action, budget=budget)
+    invars = generate_invariants(action)
 
     # Certify the invariance and rationality of the generators (exact).
     certificates["psi_theta_invariant"] = all(

@@ -2,21 +2,20 @@
 
 The group permutes blocks of n coordinates (block sigma goes to block
 tau*sigma); generators are orbit sums of monomials up to degree |group|
-(the characteristic-zero Noether bound), minimized by the tag-variable
-subalgebra-membership test.
+(the characteristic-zero Noether bound).  The orbit sums are minimized
+degree by degree with exact linear algebra: an orbit sum is dropped when it is
+a linear combination of products of the generators kept before it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import ResourceLimit
-from .groebner import Ideal, normal_form
+from .errors import InputError, ResourceLimit
 from .multipoly import MonomialOrder, MultiPoly, PolyRing
 
 __all__ = [
     "BlockPermutationAction",
-    "reynolds",
     "generate_invariants",
     "minimize_generators",
 ]
@@ -81,15 +80,6 @@ class BlockPermutationAction:
         return all(self.act(tau, P) == P for tau in self.group)
 
 
-def reynolds(P: MultiPoly, action: BlockPermutationAction) -> MultiPoly:
-    """Average of P over the group action; fixes invariants."""
-    total = action.ring.zero
-    for tau in action.group:
-        total = total + action.act(tau, P)
-    m = action.group.order
-    return total.scale(action.ring.field.rational(1) / m)
-
-
 def _monomials_of_degree(nvars, degree):
     for combo in combinations_with_replacement(range(nvars), degree):
         exps = [0] * nvars
@@ -107,7 +97,7 @@ def _count_monomials(nvars, max_degree):
     return total
 
 
-def generate_invariants(action: BlockPermutationAction, budget=None):
+def generate_invariants(action: BlockPermutationAction):
     """Minimal orbit-sum generators of the invariant algebra.
 
     Orbit sums of all monomials of total degree <= |group| (integer
@@ -135,48 +125,37 @@ def generate_invariants(action: BlockPermutationAction, budget=None):
         by_rep.sort(key=lambda t: t[0])
         for _, orbit in by_rep:
             raw.append(MultiPoly(action.ring, {m: one for m in orbit}))
-    return minimize_generators(raw, action, budget=budget)
+    return minimize_generators(raw)
 
 
-def minimize_generators(gens, action: BlockPermutationAction, budget=None):
-    """Greedily drop generators lying in the subalgebra of the others.
+def minimize_generators(gens):
+    """Keep each generator that is not in the subalgebra of those kept before it.
 
-    Membership via the tag-ideal test: with T_k - E_k for the other
-    generators and an order eliminating the action variables, the candidate is
-    a member iff its normal form contains only tag variables.  Candidates are
-    tried highest degree first (reverse canonical order within a degree), so
-    power-sum-style redundancies are removed in favor of products of
-    lower-degree generators.
+    The generators must be homogeneous.  They are taken in canonical order,
+    by (degree, largest monomial).  A degree-d generator lies in the
+    subalgebra of the kept ones iff it is a linear combination of degree-d
+    products of them, so each degree needs one exact echelon: it starts from
+    the products of the kept lower-degree generators and takes in each kept
+    generator of degree d.  The kept generators are returned in input order.
     """
-    current = list(gens)
+    if any(len({sum(m) for m in g.terms}) > 1 for g in gens):
+        raise InputError("minimize_generators needs homogeneous generators")
     order = sorted(
-        range(len(current)),
-        key=lambda i: (current[i].total_degree(), max(current[i].terms)),
-        reverse=True,
+        range(len(gens)), key=lambda i: (gens[i].total_degree(), max(gens[i].terms))
     )
-    # For homogeneous inputs (the orbit sums always are) membership is a
-    # graded question: a degree-d element lies in the subalgebra of the others
-    # iff it is a linear combination of degree-d products of them.  That is
-    # decided by exact linear algebra, far cheaper than the elimination test.
-    homogeneous = all(_is_homogeneous(g) for g in current)
-    removed = set()
-    for idx in order:
-        candidate = current[idx]
-        others = [current[j] for j in range(len(current)) if j != idx and j not in removed]
-        if not others:
-            continue
-        if homogeneous:
-            member = _in_span_graded(candidate, others)
-        else:
-            member = _in_subalgebra(candidate, others, action, budget)
-        if member:
-            removed.add(idx)
-    return [current[i] for i in range(len(current)) if i not in removed]
-
-
-def _is_homogeneous(p):
-    degs = {sum(m) for m in p.terms}
-    return len(degs) <= 1
+    kept = []
+    degree = None
+    for i in order:
+        d = gens[i].total_degree()
+        if d != degree:
+            degree, echelon = d, []
+            products = []
+            _degree_products([gens[k] for k in kept], 0, d, gens[i].ring.one, products)
+            for p in products:
+                _in_span_graded(p.terms, echelon)
+        if not _in_span_graded(gens[i].terms, echelon):
+            kept.append(i)
+    return [gens[i] for i in sorted(kept)]
 
 
 def _echelon_reduce(vec, echelon):
@@ -196,23 +175,17 @@ def _echelon_reduce(vec, echelon):
     return vec
 
 
-def _in_span_graded(candidate, others):
-    """Is the homogeneous candidate a linear combination of same-degree
-    products of the other generators?  Exact Gaussian elimination."""
-    d = candidate.total_degree()
-    products = []
-    _degree_products(others, 0, d, candidate.ring.one, products)
-    echelon = []
-    for p in products:
-        vec = _echelon_reduce(p.terms, echelon)
-        if not vec:
-            continue
-        pivot = max(vec)
-        inv = vec[pivot].inverse()
-        row = {m: c * inv for m, c in vec.items()}
-        echelon.append((pivot, row))
-        echelon.sort(key=lambda t: t[0], reverse=True)
-    return not _echelon_reduce(candidate.terms, echelon)
+def _in_span_graded(vec, echelon):
+    """Is the monomial->coefficient dict in the span of the echelon rows?
+    If not, its reduced form joins them as a new monic row.  Exact."""
+    vec = _echelon_reduce(vec, echelon)
+    if not vec:
+        return True
+    pivot = max(vec)
+    inv = vec[pivot].inverse()
+    echelon.append((pivot, {m: c * inv for m, c in vec.items()}))
+    echelon.sort(key=lambda t: t[0], reverse=True)
+    return False
 
 
 def _degree_products(gens, start, remaining, acc, out):
@@ -226,19 +199,3 @@ def _degree_products(gens, start, remaining, acc, out):
         dg = gens[k].total_degree()
         if 0 < dg <= remaining:
             _degree_products(gens, k, remaining - dg, acc * gens[k], out)
-
-
-def _in_subalgebra(candidate, gens, action, budget=None):
-    ring = action.ring
-    ny = ring.nvars
-    tags = tuple(f"_T{k}" for k in range(len(gens)))
-    big = PolyRing(
-        ring.field, ring.variables + tags, MonomialOrder("block", split=ny)
-    )
-    relations = []
-    for tag, g in zip(tags, gens):
-        relations.append(big.var(tag) - g.transplant(big))
-    ideal = Ideal(big, relations)
-    gb = ideal.groebner_basis(budget=budget)
-    nf = normal_form(candidate.transplant(big), gb, budget=budget)
-    return all(not nf.uses_variable(i) for i in range(ny))

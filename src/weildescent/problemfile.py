@@ -269,7 +269,7 @@ def _read(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -55,6 +55,19 @@ def cubic_group(cubic):
 
 
 @pytest.fixture(scope="session")
+def zeta5():
+    """Q(zeta_5), minimal polynomial t^4 + t^3 + t^2 + t + 1."""
+    return wd.NumberField([1, 1, 1, 1, 1], gen_name="z")
+
+
+@pytest.fixture(scope="session")
+def zeta5_group(zeta5):
+    # z -> z^k for k = 1..4: a cyclic group of order 4, generated by z -> z^2
+    z = zeta5.gen
+    return wd.GaloisGroup(zeta5, [z, z * z, z * z * z, z * z * z * z])
+
+
+@pytest.fixture(scope="session")
 def rational_field():
     """Q itself as a degree-1 extension (trivial Galois group)."""
     return wd.NumberField([0, 1], gen_name="q0")

@@ -153,6 +153,13 @@ class TestDescend:
         )
         assert wd.ideals_equal(emitted, paper)
 
+    def test_undecodable_file_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, "descend", str(bad))
+        assert code == 2
+        assert "cannot read problem file" in err
+
     def test_no_inverse_flag(self, capsys):
         code, out, _ = run(
             capsys, "descend", fixture_path("conic.txt"), "--no-inverse"
@@ -222,6 +229,19 @@ class TestCheckModel:
             str(bad),
         )
         assert code == 2
+
+    def test_undecodable_claimed_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "claimed.txt"
+        bad.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(
+            capsys,
+            "check-model",
+            fixture_path("humbert.txt"),
+            "--claimed",
+            str(bad),
+        )
+        assert code == 2
+        assert "cannot read claimed document" in err
 
     def test_round_trip_descend_then_check(self, tmp_path, capsys):
         out_file = tmp_path / "result.txt"
