@@ -6,34 +6,38 @@ monomial order enters as its key function (MonomialOrder.key).  A basis
 leaves buchberger, and divisors enter normal_form, as (lead monomial, monic
 terms) pairs.  weildescent.kernel re-exports the two entry points.
 
+- buchberger takes S-pairs in order of sugar degree (Giovini, Mora, Niesi,
+  Robbiano, Traverso, "One sugar cube, please", ISSAC 1991).
+- Division keeps the polynomial being reduced as a dict plus a heap of its
+  monomials, so each step pops the largest term instead of scanning every
+  term (Monagan & Pearce, CASC 2007).
+- Each call to buchberger or normal_form computes the order key of a
+  monomial at most once, in a memo that lives only as long as that call.
+
 The budget is a single-element list of remaining reduction steps, decremented
 in place so one cap can span a whole pipeline.
 """
 
 import heapq
+from operator import add, le, neg, sub
 
 from .errors import ResourceLimit
 
 IMPL = "python"
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class _NegKeys(dict):
+    """monomial -> its order key negated, so that heapq pops the largest
+    monomial first.  Filled on first lookup; one per kernel call."""
 
+    __slots__ = ("keyf",)
 
-def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    def __init__(self, keyf):
+        self.keyf = keyf
 
-
-def _mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    def __missing__(self, m):
+        k = self[m] = tuple(map(neg, self.keyf(m)))
+        return k
 
 
 def _spend(budget, amount=1):
@@ -42,132 +46,156 @@ def _spend(budget, amount=1):
         raise ResourceLimit("reduction budget exceeded")
 
 
-def _make_monic(terms, keyf):
+def _make_monic(terms, nkeys):
     """(lead monomial, monic terms): the divisor form of a nonzero polynomial."""
-    lead = max(terms, key=keyf)
+    lead = min(terms, key=nkeys.__getitem__)
     inv = terms[lead].inverse()
     return lead, {m: c * inv for m, c in terms.items()}
 
 
-def _reduce(f, basis, keyf, budget):
-    """Remainder of f modulo a list of (lead_mono, terms_dict) monic divisors."""
+def _reduce(f, basis, nkeys, budget):
+    """Remainder of f modulo a list of (lead_mono, terms_dict) monic divisors.
+
+    h holds the terms still to reduce.  heap holds (negated key, monomial)
+    for each monomial as it enters h; an entry whose monomial has since
+    cancelled out of h is skipped when popped.
+    """
     h = dict(f)
+    heap = [(nkeys[m], m) for m in h]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     remainder = {}
-    while h:
-        lead = max(h, key=keyf)
-        hit = None
+    while heap:
+        lead = pop(heap)[1]
+        c = h.pop(lead, None)
+        if c is None:
+            continue
         for bm, bt in basis:
-            if _divides(bm, lead):
-                hit = (bm, bt)
+            if all(map(le, bm, lead)):
                 break
-        if hit is None:
-            remainder[lead] = h.pop(lead)
+        else:
+            remainder[lead] = c
             continue
         _spend(budget)
-        bm, bt = hit
-        shift = _mono_sub(lead, bm)
-        c = h[lead]
+        shift = tuple(map(sub, lead, bm))
         for m, cc in bt.items():
-            mm = _mono_mul(shift, m)
+            if m == bm:
+                continue  # the lead term cancels exactly
+            mm = tuple(map(add, shift, m))
             cur = h.get(mm)
-            nxt = (c * cc).__neg__() if cur is None else cur - c * cc
-            if nxt.is_zero():
-                h.pop(mm, None)
+            if cur is None:
+                h[mm] = -(c * cc)
+                push(heap, (nkeys[mm], mm))
             else:
-                h[mm] = nxt
+                nxt = cur - c * cc
+                if nxt.is_zero():
+                    del h[mm]
+                else:
+                    h[mm] = nxt
     return remainder
 
 
 def normal_form(f, divisors, keyf, budget):
     """Full remainder of f modulo (lead, monic terms) divisors, e.g. a basis
     as buchberger returns it."""
-    return _reduce(f, divisors, keyf, budget)
+    return _reduce(f, divisors, _NegKeys(keyf), budget)
 
 
 def buchberger(gens, keyf, budget):
     """Reduced, monic Groebner basis of the given generators, as a list of
-    (lead monomial, monic terms) sorted by lead.
+    (lead monomial, monic terms) sorted ascending by key.
 
-    Degree-ordered pair queue with the product and chain criteria.
-    Deterministic: identical inputs produce identical output lists.
+    Each basis element carries a sugar degree: the total degree of an input
+    generator, and for a reduced S-polynomial the sugar of its pair,
+    max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j).
+    Pairs leave the queue by (sugar, key(lcm), i, j), after the product and
+    chain criteria.  Deterministic: identical inputs produce identical
+    output lists.
     """
-    basis = [_make_monic(terms, keyf) for terms in gens if terms]
-    basis.sort(key=lambda bt: keyf(bt[0]))
+    nkeys = _NegKeys(keyf)
+    start = [(_make_monic(terms, nkeys), max(map(sum, terms)))
+             for terms in gens if terms]
+    # Ascending by key; reverse=True keeps equal leads in input order.
+    start.sort(key=lambda e: nkeys[e[0][0]], reverse=True)
+    basis = [divisor for divisor, _ in start]
+    sugar = [s for _, s in start]
 
     pending = set()
     heap = []
 
     def push_pairs(j):
         lj = basis[j][0]
+        ecart_j = sugar[j] - sum(lj)
         for i in range(j):
             li = basis[i][0]
-            lcm = _mono_lcm(li, lj)
+            lcm = tuple(map(max, li, lj))
+            s = max(sugar[i] - sum(li), ecart_j) + sum(lcm)
             pending.add((i, j))
-            heapq.heappush(heap, (sum(lcm), keyf(lcm), i, j, lcm))
+            heapq.heappush(heap, (s, keyf(lcm), i, j, lcm))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
+        s, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
         li, ti = basis[i]
         lj, tj = basis[j]
-        if _mono_mul(li, lj) == lcm:
+        if tuple(map(add, li, lj)) == lcm:
             continue  # product criterion
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(basis[k][0], lcm):
+        for k, (lk, _) in enumerate(basis):
+            if k != i and k != j and all(map(le, lk, lcm)):
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue  # chain criterion
-        _spend(budget)
-        # s-polynomial of two monic elements
-        spoly = {}
-        for m, c in ti.items():
-            spoly[_mono_mul(_mono_sub(lcm, li), m)] = c
-        for m, c in tj.items():
-            mm = _mono_mul(_mono_sub(lcm, lj), m)
-            cur = spoly.get(mm)
-            nxt = -c if cur is None else cur - c
+                    break  # chain criterion
+        else:
+            _spend(budget)
+            rem = _reduce(_spoly(lcm, li, ti, lj, tj), basis, nkeys, budget)
+            if rem:
+                basis.append(_make_monic(rem, nkeys))
+                sugar.append(s)
+                push_pairs(len(basis) - 1)
+
+    return _interreduce(basis, nkeys, budget)
+
+
+def _spoly(lcm, li, ti, lj, tj):
+    """S-polynomial of two monic elements; their lead terms cancel."""
+    si = tuple(map(sub, lcm, li))
+    sj = tuple(map(sub, lcm, lj))
+    spoly = {tuple(map(add, si, m)): c for m, c in ti.items() if m != li}
+    for m, c in tj.items():
+        if m == lj:
+            continue
+        mm = tuple(map(add, sj, m))
+        cur = spoly.get(mm)
+        if cur is None:
+            spoly[mm] = -c
+        else:
+            nxt = cur - c
             if nxt.is_zero():
-                spoly.pop(mm, None)
+                del spoly[mm]
             else:
                 spoly[mm] = nxt
-        rem = _reduce(spoly, basis, keyf, budget)
-        if rem:
-            basis.append(_make_monic(rem, keyf))
-            push_pairs(len(basis) - 1)
-
-    return _interreduce(basis, keyf, budget)
+    return spoly
 
 
-def _interreduce(basis, keyf, budget):
+def _interreduce(basis, nkeys, budget):
     # Minimal basis: drop elements whose lead is divisible by another lead.
-    basis = sorted(basis, key=lambda bt: keyf(bt[0]))
+    basis = sorted(basis, key=lambda bt: nkeys[bt[0]], reverse=True)
     kept = []
     for idx, (lead, terms) in enumerate(basis):
-        redundant = False
         for jdx, (l2, _) in enumerate(basis):
-            if jdx == idx:
-                continue
-            if _divides(l2, lead) and (l2 != lead or jdx < idx):
-                redundant = True
+            if jdx != idx and all(map(le, l2, lead)) and (l2 != lead or jdx < idx):
                 break
-        if not redundant:
+        else:
             kept.append((lead, terms))
     # Tail-reduce each element against the others.
     out = []
     for idx, (lead, terms) in enumerate(kept):
-        others = [kept[j] for j in range(len(kept)) if j != idx]
-        rem = _reduce(terms, others, keyf, budget)
+        rem = _reduce(terms, kept[:idx] + kept[idx + 1:], nkeys, budget)
         if rem:
-            out.append(_make_monic(rem, keyf))
-    out.sort(key=lambda bt: keyf(bt[0]))
+            out.append(_make_monic(rem, nkeys))
+    out.sort(key=lambda bt: nkeys[bt[0]], reverse=True)
     return out

@@ -72,8 +72,11 @@ def _write(text, path):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_descend(args) -> int:
@@ -101,14 +104,18 @@ def cmd_check_model(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # No reference to the parser outlives parsing: argparse objects form
+    # reference cycles, and a collection during a long command would move
+    # them to the oldest generation, where they wait for a full collection.
+    args = _build_parser().parse_args(argv)
     handlers = {
         "descend": cmd_descend,
         "verify-datum": cmd_verify_datum,
         "check-model": cmd_check_model,
     }
     try:
+        if args.budget is not None and args.budget <= 0:
+            raise InputError("budget must be positive")
         return handlers[args.command](args)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

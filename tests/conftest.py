@@ -114,12 +114,10 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-@pytest.fixture
-def kernel_steps(monkeypatch):
-    """A one-element list that counts the reduction steps every kernel call
-    spends while the test runs: the drop in the budget list it is given."""
+def _record_kernel_steps(monkeypatch, record):
+    """Wrap both kernel entry points so that record(n) gets the n reduction
+    steps each call spends: the drop in the budget list it is given."""
     kernel = sys.modules["weildescent.kernel"]
-    spent = [0]
 
     def counted(fn):
         def wrapper(*args):
@@ -128,9 +126,30 @@ def kernel_steps(monkeypatch):
             try:
                 return fn(*args)
             finally:
-                spent[0] += before - budget[0]
+                record(before - budget[0])
         return wrapper
 
     for name in ("buchberger", "normal_form"):
         monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """A one-element list that counts the reduction steps every kernel call
+    spends while the test runs."""
+    spent = [0]
+
+    def add(n):
+        spent[0] += n
+
+    _record_kernel_steps(monkeypatch, add)
     return spent
+
+
+@pytest.fixture
+def kernel_call_steps(monkeypatch):
+    """The reduction steps of each kernel call made while the test runs, one
+    entry per call, in call order."""
+    calls = []
+    _record_kernel_steps(monkeypatch, calls.append)
+    return calls

@@ -1,6 +1,10 @@
+import argparse
+import gc
+
 import pytest
 
 import weildescent as wd
+from weildescent import cli
 from weildescent.cli import main
 from weildescent.problemfile import load_problem
 from tests.conftest import fixture_path, read_fixture
@@ -10,6 +14,37 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("command", ["descend", "verify-datum", "check-model"])
+def test_non_positive_budget_exit_two(command, budget, capsys):
+    # The same refusal as `budget = 0` under [options] in the problem file.
+    claimed = ["--claimed", fixture_path("humbert_claimed.txt")]
+    extra = claimed if command == "check-model" else []
+    code, out, err = run(
+        capsys, command, fixture_path("humbert.txt"), *extra, "--budget", budget
+    )
+    assert code == 2
+    assert "budget must be positive" in err
+    assert out == ""
+
+
+def test_parser_is_garbage_while_the_command_runs(monkeypatch):
+    # argparse objects form reference cycles; one still referenced during a
+    # long command could be moved to the oldest generation of the collector.
+    live = []
+
+    def command(args):
+        gc.collect()
+        live.extend(o for o in gc.get_objects()
+                    if isinstance(o, argparse.ArgumentParser)
+                    and o.prog.startswith("weildescent"))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_verify_datum", command)
+    assert main(["verify-datum", fixture_path("humbert.txt")]) == 0
+    assert live == []
 
 
 class TestVerifyDatum:
@@ -125,6 +160,15 @@ class TestDescend:
         assert code == 0
         assert out == ""
         assert "[certificates]" in out_file.read_text()
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        out_file = tmp_path / "no-such-dir" / "result.txt"
+        code, out, err = run(
+            capsys, "descend", fixture_path("conic.txt"), "-o", str(out_file)
+        )
+        assert code == 2
+        assert "cannot write" in err
+        assert out == ""
 
     def test_prune_flag_gives_paper_model(self, capsys):
         code, out, _ = run(

@@ -288,11 +288,15 @@ class TestRunBudget:
         # total - 1 steps ran; the last decrement is the refused step.
         assert spent[0] == total
 
-    def test_largest_single_call_is_not_enough(self):
-        # 1385 steps cover the largest single Groebner call of a pruned
-        # Humbert run, but not the run.
+    def test_largest_single_call_is_not_enough(self, kernel_call_steps):
+        # The steps of the largest single kernel call of a pruned Humbert
+        # run cover that call but not the run; the run's total covers it.
+        wd.descend(humbert_datum(), prune=True)
+        largest, total = max(kernel_call_steps), sum(kernel_call_steps)
+        assert largest < total
         with pytest.raises(wd.ResourceLimit):
-            wd.descend(humbert_datum(), prune=True, budget=1385)
+            wd.descend(humbert_datum(), prune=True, budget=largest)
+        wd.descend(humbert_datum(), prune=True, budget=total)
 
 
 class TestMorphismDescent:

@@ -109,14 +109,14 @@ def oracle_terms(degree):
     return st.dictionaries(mono, coeff, min_size=1, max_size=4)
 
 
-def oracle_cases():
-    """(field name, order, 1-3 generators, a polynomial to reduce)."""
+def oracle_cases(orders=("lex", "grevlex"), max_gens=3):
+    """(field name, order, 1 to max_gens generators, one more polynomial)."""
     def for_field(name):
         terms = oracle_terms(ORACLE_FIELDS[name][0].degree)
         return st.tuples(
             st.just(name),
-            st.sampled_from(["lex", "grevlex"]),
-            st.lists(terms, min_size=1, max_size=3),
+            st.sampled_from(orders),
+            st.lists(terms, min_size=1, max_size=max_gens),
             terms,
         )
     return st.sampled_from(sorted(ORACLE_FIELDS)).flatmap(for_field)
@@ -128,25 +128,51 @@ def to_sympy(P: wd.MultiPoly, name):
     return sympy.Poly.from_dict(terms, *SYMPY_XYZ, domain=domain)
 
 
+def from_sympy(poly, ring, drop):
+    """The sympy Poly `poly`, free of its first `drop` variables, as a
+    MultiPoly in `ring` over the remaining ones."""
+    terms = {}
+    for mono, c in poly.terms():
+        re, im = c.as_real_imag()
+        terms[mono[drop:]] = ring.field.element(
+            [Fraction(int(v.p), int(v.q)) for v in (re, im)]
+        )
+    return wd.MultiPoly(ring, terms)
+
+
+def reduced_terms(I):
+    """The reduced basis of I in the package's grevlex order, as term dicts."""
+    grevlex = wd.MonomialOrder("grevlex")
+    return [g.terms for g in wd.groebner(I, grevlex).elements]
+
+
 class TestAgainstSympy:
     """Independent cross-check of reduced bases and normal forms."""
 
     CASES = [
-        ["x^2 + y^2 - 1", "x - y^2"],
-        ["x*y - z^2", "y^2 - x*z", "x^2 - 1"],
-        ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"],
+        ("grevlex", ["x^2 + y^2 - 1", "x - y^2"]),
+        ("grevlex", ["x*y - z^2", "y^2 - x*z", "x^2 - 1"]),
+        ("grevlex", ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"]),
+        # A 5-element lex basis of degree 13, slow unless pairs are taken
+        # by sugar degree.
+        ("lex", ["x^2*z^2 - 2*x*y^2 + 3*x*y*z - y^2*z^2",
+                 "-3*x^2*y^2*z - 2*x*y^2*z^2 - 2*y*z^2",
+                 "x*y^2 - 2*x*y*z^2 - 3*y^2*z^2"]),
     ]
 
     @pytest.mark.parametrize("case", CASES)
-    def test_reduced_basis_matches(self, qring, case):
-        # [DERIVED] oracle: sympy.groebner over QQ with grevlex
-        I = wd.Ideal(qring, [p(t, qring) for t in case])
+    def test_reduced_basis_matches(self, rational_field, case):
+        # [DERIVED] oracle: sympy.groebner over QQ in the same order
+        order, gens = case
+        ring = wd.PolyRing(rational_field, ("x", "y", "z"), wd.MonomialOrder(order))
+        I = wd.Ideal(ring, [p(t, ring) for t in gens])
         mine = I.groebner_basis()
         xs = sympy.symbols("x y z")
         sym = sympy.groebner(
-            [sympy.sympify(t.replace("^", "**")) for t in case],
+            [sympy.sympify(t.replace("^", "**")) for t in gens],
             *xs,
-            order="grevlex",
+            order=order,
+            domain=sympy.QQ,
         )
         theirs = set()
         for e in sym.exprs:
@@ -188,6 +214,38 @@ class TestAgainstSympy:
             to_sympy(f, name), theirs.polys, *SYMPY_XYZ, order=order, domain=domain
         )
         assert to_sympy(wd.normal_form(f, gb), name) == rem
+
+    # sympy's lex bases of three random generators, or with a fourth,
+    # auxiliary variable, can take minutes; two generators in x, y, z take
+    # milliseconds.  So saturate is checked against eliminate.
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(oracle_cases(orders=("block",), max_gens=2))
+    def test_block_order_elimination_matches_sympy(self, case):
+        """eliminate, which runs in a block order, keeps the elements of
+        sympy's lex basis free of x; saturate is that elimination of an
+        auxiliary variable."""
+        name, _, gens, h = case
+        field, domain, _ = ORACLE_FIELDS[name]
+        ring = wd.PolyRing(field, ("x", "y", "z"))
+
+        def poly(terms):
+            return wd.MultiPoly(ring, {m: field.element(c) for m, c in terms.items()})
+
+        I = wd.Ideal(ring, [poly(g) for g in gens])
+        elim = wd.eliminate(I, ["x"])
+        lex = sympy.groebner(
+            [to_sympy(g, name) for g in I.generators],
+            *SYMPY_XYZ, order="lex", domain=domain,
+        )
+        theirs = [from_sympy(g, elim.ring, 1) for g in lex.polys if g.degree(0) == 0]
+        assert reduced_terms(elim) == reduced_terms(wd.Ideal(elim.ring, theirs))
+
+        # I : h^oo = (I + <1 - t*h>) ∩ k[x, y, z].
+        big = wd.PolyRing(field, ("t", "x", "y", "z"))
+        aux = [g.transplant(big) for g in I.generators]
+        aux.append(big.one - big.var("t") * poly(h).transplant(big))
+        by_hand = wd.eliminate(wd.Ideal(big, aux), ["t"])
+        assert reduced_terms(wd.saturate(I, poly(h))) == reduced_terms(by_hand)
 
 
 class TestImageIdeal:
