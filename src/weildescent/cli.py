@@ -13,6 +13,8 @@ to stdout (or the -o file).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .descent import check_claimed_model, descend, verify_datum
@@ -68,6 +70,24 @@ def _effective(args, problem):
     return prune, want_inverse
 
 
+def _check_output(path):
+    """Refuse, before the descent runs, an -o path that is a directory or
+    lies in a directory that does not exist.
+
+    The file itself is not created or truncated here, so an existing file
+    keeps its contents when the descent fails.
+    """
+    if path is None:
+        return
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        reason = errno.ENOENT
+    else:
+        return
+    raise InputError(f"cannot write {path}: {os.strerror(reason)}")
+
+
 def _write(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -82,6 +102,7 @@ def _write(text, path):
 def cmd_descend(args) -> int:
     problem = load_problem(args.file, order=args.order, budget=args.budget)
     prune, want_inverse = _effective(args, problem)
+    _check_output(args.output)
     result = descend(problem.datum, budget=problem.budget, prune=prune,
                      want_inverse=want_inverse)
     _write(render_result(result), args.output)

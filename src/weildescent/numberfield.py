@@ -8,9 +8,10 @@ fixed field of the group.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-
-import sympy
+from itertools import combinations, islice
+from math import isqrt, lcm
 
 from .errors import InputError, SingularBasis, ZeroDenominator
 
@@ -35,15 +36,242 @@ def _as_fraction(x) -> Fraction:
 
 
 def _poly_is_irreducible(coeffs):
-    # coeffs: low-to-high Fractions, monic.  Degree-1 is trivially irreducible;
-    # otherwise delegate to sympy's exact factorization over Q.
-    if len(coeffs) == 2:
+    """Whether the monic f = sum coeffs[k]*t^k over Q is irreducible.
+
+    coeffs are Fractions, low to high.  The test is exact (Berlekamp and
+    Zassenhaus; von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 14-15):
+
+    1. g(t) = d^m f(t/d), with d the lcm of the denominators, is a monic
+       integer polynomial that factors exactly as f does.
+    2. If gcd(g, g') over Q is not constant, g is reducible.
+    3. For up to five odd primes p with g mod p squarefree, a distinct-degree
+       factorisation gives the degrees of the irreducible factors mod p.  A
+       factor of g over Q has a degree that is a subset sum of them at every
+       p; if only 0 and m are left, g is irreducible.
+    4. Otherwise the factors mod the prime with the fewest of them are split
+       (Cantor-Zassenhaus) and Hensel-lifted to p^k > 2 * 2^m * ||g||_2, the
+       bound of Mignotte on the coefficients of a factor.  Each product of at
+       most r/2 of the r lifted factors whose degree survived step 3 is
+       reduced to the symmetric range and tried as an exact divisor of g in
+       Z[t]; g is irreducible if none divides it.
+    """
+    m = len(coeffs) - 1
+    if m == 1:
         return True
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t
-    )
-    return poly.is_irreducible
+    d = lcm(*(c.denominator for c in coeffs))
+    g = [int(c * d ** (m - k)) for k, c in enumerate(coeffs)]
+    if not _rational_coprime(g, [k * c for k, c in enumerate(g)][1:]):
+        return False
+    squarefree = (p for p in _odd_primes()
+                  if len(_gcd(g, _derivative(g, p), p)) == 1)
+    allowed, best = None, None
+    for p in islice(squarefree, 5):
+        parts = _distinct_degree([c % p for c in g], p)
+        degrees = [e for f, e in parts for _ in range((len(f) - 1) // e)]
+        sums = {0}
+        for e in degrees:
+            sums |= {s + e for s in sums}
+        allowed = sums if allowed is None else allowed & sums
+        if allowed == {0, m}:
+            return True
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), p, parts)
+    r, p, parts = best
+    rng = random.Random(0)
+    factors = [u for f, e in parts for u in _equal_degree(f, e, p, rng)]
+    M = p
+    while M * M <= 4 ** (m + 1) * sum(c * c for c in g):
+        M *= M
+    lifted = _hensel_lift(g, factors, p, M)
+    for size in range(1, r // 2 + 1):
+        for subset in combinations(lifted, size):
+            if sum(len(u) - 1 for u in subset) not in allowed:
+                continue
+            h = [1]
+            for u in subset:
+                h = _mul(h, u, M)
+            if _divides([c - M if c > M // 2 else c for c in h], g):
+                return False
+    return True
+
+
+# Polynomials in the irreducibility test are lists of ints, low to high, with
+# no zero leading entry (the zero polynomial is []); m is the modulus.
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a, b, m):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return _trim([c % m for c in out])
+
+
+def _sub(a, b, m):
+    return _add(a, [-c for c in b], m)
+
+
+def _mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _divmod(a, b, m):
+    """Quotient and remainder of a by b mod m; the lead of b is a unit mod m."""
+    r = [c % m for c in a]
+    n = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(r) - n, 0)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n] * inv % m
+        if c:
+            q[k] = c
+            for j in range(n):
+                r[k + j] = (r[k + j] - c * b[j]) % m
+    return _trim(q), _trim(r[:n])
+
+
+def _powmod(a, e, f, p):
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a, p), f, p)[1]
+        a = _divmod(_mul(a, a, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _gcd(a, b, p):
+    """The monic gcd of a and b mod the prime p; a is nonzero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _derivative(a, p):
+    return _trim([k * c % p for k, c in enumerate(a)][1:])
+
+
+def _rational_coprime(a, b):
+    """Whether the integer polynomials a and b have a constant gcd over Q."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            for j, y in enumerate(b):
+                a[shift + j] -= c * y
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _distinct_degree(f, p):
+    """(product of the factors of degree e, e) for squarefree monic f mod p."""
+    parts = []
+    x = h = [0, 1]
+    e = 0
+    while 2 * (e + 1) <= len(f) - 1:
+        e += 1
+        h = _powmod(h, p, f, p)
+        u = _gcd(f, _sub(h, x, p), p)
+        if len(u) > 1:
+            parts.append((u, e))
+            f = _divmod(f, u, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        parts.append((f, len(f) - 1))
+    return parts
+
+
+def _equal_degree(f, e, p, rng):
+    """The monic irreducible factors mod p of f, all of degree e."""
+    n = len(f) - 1
+    if n == e:
+        return [f]
+    power = (p ** e - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        u = _gcd(f, _add(_powmod(a, power, f, p), [-1], p), p)
+        if 1 < len(u) <= n:
+            v = _divmod(f, u, p)[0]
+            return _equal_degree(u, e, p, rng) + _equal_degree(v, e, p, rng)
+
+
+def _bezout(a, b, p):
+    """s, t with s*a + t*b = 1 mod p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _hensel_lift(g, factors, p, M):
+    """Monic lifts mod M = p^(2^j) of the factors of g mod p, whose product
+    is g mod M.
+
+    factors are monic, pairwise coprime and at least two.  Each is split off
+    the product of the rest in turn by quadratic Hensel steps (von zur
+    Gathen & Gerhard, Algorithm 15.10), so all lifts reach the same M.
+    """
+    lifts = []
+    f = g
+    for k, u in enumerate(factors[:-1]):
+        v = [1]
+        for w in factors[k + 1:]:
+            v = _mul(v, w, p)
+        s, t = _bezout(u, v, p)
+        n = p
+        while n < M:
+            n *= n
+            e = _sub(f, _mul(u, v, n), n)
+            q, r = _divmod(_mul(s, e, n), v, n)
+            u = _add(u, _add(_mul(t, e, n), _mul(q, u, n), n), n)
+            v = _add(v, r, n)
+            b = _add(_add(_mul(s, u, n), _mul(t, v, n), n), [-1], n)
+            c, r = _divmod(_mul(s, b, n), v, n)
+            s = _sub(s, r, n)
+            t = _sub(t, _add(_mul(t, b, n), _mul(c, u, n), n), n)
+        lifts.append(u)
+        f = v
+    return lifts + [f]
+
+
+def _divides(h, g):
+    """Whether the monic integer polynomial h divides g in Z[t]."""
+    r = list(g)
+    n = len(h) - 1
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n]
+        if c:
+            for j in range(n):
+                r[k + j] -= c * h[j]
+    return not any(r[:n])
 
 
 class NumberField:
@@ -179,11 +407,9 @@ class NumberField:
             if deg(r0) < deg(r1):
                 r0, r1, s0, s1 = r1, r0, s1, s0
         const = r1[deg(r1)]  # deg(r1) == 0 since minpoly is irreducible
+        # The Bezout coefficient s1 has degree < m, so padding gives the vector.
         inv = scale(s1, 1 / const)
-        inv = inv[: self.degree] + [Fraction(0)] * max(0, self.degree - len(inv))
-        # s1 may exceed degree m-1 only transiently; reduce defensively.
-        out = tuple(inv[: self.degree])
-        return out
+        return tuple(inv + [Fraction(0)] * (self.degree - len(inv)))
 
 
 class NumberFieldElement:

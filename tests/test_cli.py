@@ -1,5 +1,8 @@
 import argparse
 import gc
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +48,31 @@ def test_parser_is_garbage_while_the_command_runs(monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify_datum", command)
     assert main(["verify-datum", fixture_path("humbert.txt")]) == 0
     assert live == []
+
+
+def test_runtime_does_not_import_sympy():
+    # sympy is a test oracle only: a fresh interpreter that loads every
+    # fixture and runs a command must not import it.
+    code = """
+import os, sys
+from weildescent import cli
+from weildescent.problemfile import load_claimed_model, load_problem
+fixtures = sys.argv[1]
+problems = {name: load_problem(os.path.join(fixtures, name))
+            for name in ("conic.txt", "stable.txt", "trivial.txt", "humbert.txt")}
+load_claimed_model(os.path.join(fixtures, "humbert_claimed.txt"),
+                   problems["humbert.txt"])
+assert cli.main(["verify-datum", os.path.join(fixtures, "conic.txt")]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.dirname(fixture_path("conic.txt"))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestVerifyDatum:
@@ -169,6 +197,34 @@ class TestDescend:
         assert code == 2
         assert "cannot write" in err
         assert out == ""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_refused_before_descent(self, where, tmp_path,
+                                                      monkeypatch, capsys):
+        def descend(*args, **kwargs):
+            raise AssertionError("descend ran for an unwritable -o path")
+
+        monkeypatch.setattr(cli, "descend", descend)
+        out_file = tmp_path / "no-such-dir" / "result.txt"
+        if where == "directory":
+            out_file = tmp_path
+        code, out, err = run(
+            capsys, "descend", fixture_path("humbert.txt"), "-o", str(out_file)
+        )
+        assert code == 2
+        assert f"cannot write {out_file}" in err
+        assert out == ""
+
+    def test_existing_output_kept_on_budget_exit(self, tmp_path, capsys):
+        out_file = tmp_path / "result.txt"
+        out_file.write_bytes(b"earlier result\n")
+        code, _, err = run(
+            capsys, "descend", fixture_path("humbert.txt"), "--budget", "5",
+            "-o", str(out_file)
+        )
+        assert code == 3
+        assert "resource limit" in err
+        assert out_file.read_bytes() == b"earlier result\n"
 
     def test_prune_flag_gives_paper_model(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
+from weildescent.numberfield import _poly_is_irreducible
 
 
 class TestFieldConstruction:
@@ -22,6 +25,62 @@ class TestFieldConstruction:
     def test_degree(self, qi, cubic):
         assert qi.degree == 2
         assert cubic.degree == 3
+
+
+def _sympy_is_irreducible(coeffs):
+    t = sympy.Symbol("t")
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t
+    ).is_irreducible
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _monic(lo, hi):
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    return st.integers(lo, hi).flatmap(
+        lambda m: st.lists(coeff, min_size=m, max_size=m)
+    ).map(lambda cs: cs + [Fraction(1)])
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("coeffs, irreducible", [
+        # irreducible, yet reducible modulo every prime
+        pytest.param([1, 0, -10, 0, 1], True, id="sqrt2+sqrt3"),
+        pytest.param([1, 0, 0, 0, 1], True, id="phi8"),
+        pytest.param([1, 0, -1, 0, 1], True, id="phi12"),
+        pytest.param([1, -1, 0, 1, -1, 1, 0, -1, 1], True, id="phi15"),
+        pytest.param([108, 0, 0, 0, 0, 0, 1], True, id="x6+108"),
+        pytest.param([576, 0, -960, 0, 352, 0, -40, 0, 1], True,
+                     id="sqrt2+sqrt3+sqrt5"),
+        # reducible with no rational root
+        pytest.param([4, 0, 0, 0, 1], False, id="(x2+2x+2)(x2-2x+2)"),
+        pytest.param([2, 0, 3, 0, 1], False, id="(x2+1)(x2+2)"),
+        # a product of two quadratics that split further
+        pytest.param([9, 0, -10, 0, 1], False, id="(x2-1)(x2-9)"),
+        # not squarefree
+        pytest.param([1, 0, 2, 0, 1], False, id="(x2+1)^2"),
+        # not integral
+        pytest.param([Fraction(-1, 4), 0, 1], False, id="t2-1/4"),
+    ])
+    def test_pinned(self, coeffs, irreducible):
+        # [DERIVED] each id names the factorisation, or the generator whose
+        # minimal polynomial it is
+        assert _poly_is_irreducible([Fraction(c) for c in coeffs]) is irreducible
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(
+        _monic(2, 8),
+        st.tuples(_monic(1, 4), _monic(1, 4)).map(lambda ab: _times(*ab)),
+    ))
+    def test_matches_sympy(self, coeffs):
+        assert _poly_is_irreducible(coeffs) == _sympy_is_irreducible(coeffs)
 
 
 class TestArithmetic:

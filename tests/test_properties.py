@@ -10,6 +10,7 @@ import weildescent as wd
 QI = wd.NumberField([1, 0, 1], gen_name="i")
 SQRT2 = wd.NumberField([-2, 0, 1], gen_name="s")
 CUBIC = wd.NumberField([-1, -2, 1, 1], gen_name="a")
+ZETA5 = wd.NumberField([1, 1, 1, 1, 1], gen_name="z")
 
 QI_GROUP = wd.GaloisGroup(QI, [QI.gen, -QI.gen])
 SQRT2_GROUP = wd.GaloisGroup(SQRT2, [SQRT2.gen, -SQRT2.gen])
@@ -54,6 +55,17 @@ def polys(ring):
     return st.lists(term, min_size=0, max_size=5).map(
         lambda ts: make_poly(ring, ts)
     )
+
+
+class TestInverse:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([CUBIC, ZETA5]), st.data())
+    def test_inverse_is_two_sided(self, field, data):
+        a = data.draw(elements(field).filter(lambda x: not x.is_zero()))
+        inv = a.inverse()
+        assert len(inv.coeffs) == field.degree
+        assert a * inv == field.one
+        assert inv * a == field.one
 
 
 class TestTraceReconstruction:
