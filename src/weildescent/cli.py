@@ -6,8 +6,9 @@
     weildescent check-model <file> --claimed <doc> [--budget N]
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-limit exceeded.  Diagnostics go to stderr; result documents and reports go
-to stdout (or the -o file).
+limit exceeded (the work budget, or memory: a MemoryError prints
+``resource limit: out of memory``).  Diagnostics go to stderr; result
+documents and reports go to stdout (or the -o file).
 """
 
 from __future__ import annotations
@@ -146,6 +147,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -1,9 +1,13 @@
 """Exact arithmetic in a Galois number field L = Q(alpha).
 
-Elements are coordinate vectors in the power basis 1, alpha, ..., alpha^(m-1)
-with Fraction entries.  The Galois group is given by the images of alpha under
-each automorphism; the base field K is always Q, represented implicitly as the
-fixed field of the group.
+An element is its coordinate vector in the power basis 1, alpha, ...,
+alpha^(m-1), stored as m integer numerators over one positive integer
+denominator, in lowest terms: gcd(den, *num) == 1 (Cohen, *A Course in
+Computational Algebraic Number Theory*, section 4.2).  Equal elements thus
+have equal representations, and arithmetic is on Python ints; Fractions appear
+only where coordinates enter or leave an element.  The Galois group is given
+by the images of alpha under each automorphism; the base field K is always Q,
+represented implicitly as the fixed field of the group.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, islice
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import add, neg, sub
 
 from .errors import InputError, SingularBasis, ZeroDenominator
 
@@ -277,7 +282,7 @@ def _divides(h, g):
 class NumberField:
     """L = Q(alpha) for a monic irreducible minimal polynomial over Q."""
 
-    __slots__ = ("minpoly", "gen_name", "degree", "_high_powers")
+    __slots__ = ("minpoly", "gen_name", "degree", "_high_powers", "_table_den")
 
     def __init__(self, minpoly_coeffs, gen_name="a"):
         coeffs = tuple(_as_fraction(c) for c in minpoly_coeffs)
@@ -291,20 +296,25 @@ class NumberField:
         self.gen_name = gen_name
         self.degree = len(coeffs) - 1
         # alpha^m = -(c0 + c1*alpha + ... + c_{m-1}*alpha^{m-1}); extend up to
-        # alpha^(2m-2) so products reduce in one table lookup.
+        # alpha^(2m-2) so products reduce in one table lookup.  The table is
+        # stored as ints over one denominator, 1 for a monic integer minpoly.
         m = self.degree
         powers = []
         cur = [-c for c in coeffs[:m]]
-        powers.append(tuple(cur))
+        powers.append(cur)
         for _ in range(m - 2):
             nxt = [Fraction(0)] + cur[: m - 1]
             top = cur[m - 1]
             if top:
                 for k in range(m):
                     nxt[k] += top * powers[0][k]
-            powers.append(tuple(nxt))
+            powers.append(nxt)
             cur = nxt
-        self._high_powers = tuple(powers)
+        den = lcm(*(c.denominator for row in powers for c in row))
+        self._table_den = den
+        self._high_powers = tuple(
+            tuple(int(c * den) for c in row) for row in powers
+        )
 
     def __repr__(self):
         return f"NumberField(deg={self.degree}, gen={self.gen_name!r})"
@@ -327,12 +337,19 @@ class NumberField:
             if any(vec[self.degree:]):
                 raise InputError("coefficient vector longer than field degree")
             vec = vec[: self.degree]
-        while len(vec) < self.degree:
-            vec.append(Fraction(0))
-        return NumberFieldElement(self, tuple(vec))
+        # Over the lcm of the denominators the vector is already in lowest terms.
+        den = lcm(*(c.denominator for c in vec))
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        num += [0] * (self.degree - len(num))
+        return NumberFieldElement(self, tuple(num), den)
 
     def rational(self, x) -> "NumberFieldElement":
-        return self.element([_as_fraction(x)])
+        if isinstance(x, int):
+            num, den = x, 1
+        else:
+            x = _as_fraction(x)
+            num, den = x.numerator, x.denominator
+        return NumberFieldElement(self, (num,) + (0,) * (self.degree - 1), den)
 
     @property
     def zero(self):
@@ -349,88 +366,115 @@ class NumberField:
             return self.rational(-self.minpoly[0])
         return self.element([0, 1])
 
-    # -- arithmetic on raw coefficient tuples ---------------------------------
+    # -- arithmetic on numerator vectors --------------------------------------
 
     def _mul(self, a, b):
+        x, y = a.num, b.num
+        den = a.den * b.den
         m = self.degree
         if m == 1:
-            return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
+            return _reduced(self, (x[0] * y[0],), den)
+        prod = [0] * (2 * m - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        prod[i + j] += xi * yj
         out = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                red = self._high_powers[k - m]
-                for t in range(m):
-                    out[t] += c * red[t]
-        return tuple(out)
+        if any(prod[m:]):
+            t = self._table_den
+            if t != 1:
+                out = [c * t for c in out]
+                den *= t
+            for c, row in zip(prod[m:], self._high_powers):
+                if c:
+                    for k, r in enumerate(row):
+                        out[k] += c * r
+        return _reduced(self, tuple(out), den)
 
     def _inv(self, a):
-        # Extended Euclid in Q[t] modulo the minimal polynomial.
-        if not any(a):
+        """1/a by fraction-free Gauss-Jordan elimination (Nakos, Turner and
+        Williams, SIGSAM Bull. 31(3), 1997) on the matrix of multiplication
+        by a.num, with column j scaled by t^j (t the table denominator) so
+        that it is integral."""
+        x = a.num
+        if not any(x):
             raise ZeroDenominator("division by zero in number field")
-        if self.degree == 1:
-            return (1 / a[0],)
+        m = self.degree
+        if m == 1:
+            sign = -1 if x[0] < 0 else 1
+            return NumberFieldElement(self, (sign * a.den,), sign * x[0])
+        t = self._table_den
+        top_row = self._high_powers[0]
+        cols = [list(x)]
+        for _ in range(m - 1):
+            c = cols[-1]
+            nxt = [0] + [v * t for v in c[:-1]]
+            if c[-1]:
+                for k, r in enumerate(top_row):
+                    nxt[k] += c[-1] * r
+            cols.append(nxt)
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(m)]
+        prev = 1
+        for k in range(m):
+            # A nonzero a has an invertible matrix: some pivot is nonzero.
+            p = next(i for i in range(k, m) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            pk = pivot_row[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    rows[i] = [(pk * v - f * w) // prev for v, w in zip(row, pivot_row)]
+            prev = pk
+        # Every diagonal entry is now prev, the last column prev times the
+        # solution of the scaled system; undo the scaling and the den of a.
+        num = tuple(a.den * t ** j * rows[j][m] for j in range(m))
+        if prev < 0:
+            num, prev = tuple(-v for v in num), -prev
+        return _reduced(self, num, prev)
 
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
 
-        def scale(p, c):
-            return [x * c for x in p]
-
-        def sub(p, q):
-            n = max(len(p), len(q))
-            p = p + [Fraction(0)] * (n - len(p))
-            q = q + [Fraction(0)] * (n - len(q))
-            return [x - y for x, y in zip(p, q)]
-
-        r0, r1 = list(self.minpoly), list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            c = r0[d0] / r1[d1]
-            shift = d0 - d1
-            r0 = sub(r0, [Fraction(0)] * shift + scale(r1, c))
-            s0 = sub(s0, [Fraction(0)] * shift + scale(s1, c))
-            if deg(r0) < deg(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        const = r1[deg(r1)]  # deg(r1) == 0 since minpoly is irreducible
-        # The Bezout coefficient s1 has degree < m, so padding gives the vector.
-        inv = scale(s1, 1 / const)
-        return tuple(inv + [Fraction(0)] * (self.degree - len(inv)))
+def _reduced(field, num, den):
+    """The element num/den, den > 0, with the common gcd divided out."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(v // g for v in num)
+            den //= g
+    return NumberFieldElement(field, num, den)
 
 
 class NumberFieldElement:
-    __slots__ = ("field", "coeffs")
+    """num/den in the power basis: num is a tuple of m ints and den a positive
+    int, in lowest terms (gcd(den, *num) == 1), so that equal elements have
+    equal representations.  Build elements with NumberField.element or
+    NumberField.rational."""
 
-    def __init__(self, field: NumberField, coeffs):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -447,8 +491,13 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.field, tuple(map(add, self.num, o.num)), da)
+        return _reduced(
+            self.field,
+            tuple(x * db + y * da for x, y in zip(self.num, o.num)),
+            da * db,
         )
 
     __radd__ = __add__
@@ -457,26 +506,31 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return NumberFieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.field, tuple(map(sub, self.num, o.num)), da)
+        return _reduced(
+            self.field,
+            tuple(x * db - y * da for x, y in zip(self.num, o.num)),
+            da * db,
         )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-a for a in self.coeffs))
+        return NumberFieldElement(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return NumberFieldElement(self.field, self.field._mul(self.coeffs, o.coeffs))
+        return self.field._mul(self, o)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        return NumberFieldElement(self.field, self.field._inv(self.coeffs))
+        return self.field._inv(self)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -501,12 +555,13 @@ class NumberFieldElement:
             other = self.field.rational(other)
         return (
             isinstance(other, NumberFieldElement)
+            and self.num == other.num
+            and self.den == other.den
             and self.field == other.field
-            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     # -- printing (parseable by the expression grammar) -----------------------
 
@@ -540,7 +595,7 @@ class NumberFieldElement:
 class GaloisGroup:
     """Gal(L/Q) as the list of alpha-images, with composition table."""
 
-    __slots__ = ("field", "images", "identity_index", "table", "_matrices")
+    __slots__ = ("field", "images", "identity_index", "table", "_matrices", "_traces")
 
     def __init__(self, field: NumberField, images):
         imgs = []
@@ -554,22 +609,26 @@ class GaloisGroup:
                 f"a Galois group of Q(α) with [L:Q]={m} needs exactly {m} "
                 f"automorphisms, got {len(imgs)}"
             )
-        if len({im.coeffs for im in imgs}) != m:
+        if len(set(imgs)) != m:
             raise InputError("automorphism images are not pairwise distinct")
         for im in imgs:
             if not _evaluate_minpoly(field, im).is_zero():
                 raise InputError(f"{im} is not a root of the minimal polynomial")
         self.field = field
         self.images = tuple(imgs)
-        # Precompute, for each sigma, the powers image^k so that applying sigma
-        # is a coefficient-vector dot product.
-        mats = []
+        # For each sigma, the powers image^k as rows of ints over one
+        # denominator, so that applying sigma is an integer dot product; and
+        # Tr(alpha^k), the sum of those powers over the group, likewise.
+        powers = []
         for im in imgs:
             pw = [field.one]
             for _ in range(m - 1):
                 pw.append(pw[-1] * im)
-            mats.append(tuple(pw))
-        self._matrices = tuple(mats)
+            powers.append(pw)
+        self._matrices = tuple(_over_common_den(pw) for pw in powers)
+        self._traces = _over_common_den(
+            [sum(col, field.zero) for col in zip(*powers)]
+        )
         gen = field.gen
         try:
             self.identity_index = next(
@@ -578,13 +637,12 @@ class GaloisGroup:
         except StopIteration:
             raise InputError("identity automorphism (alpha -> alpha) is missing")
         # Composition closure: sigma_i o sigma_j must be another listed map.
-        by_image = {im.coeffs: k for k, im in enumerate(imgs)}
+        by_image = {im: k for k, im in enumerate(imgs)}
         table = []
         for i in range(m):
             row = []
             for j in range(m):
-                composed = self.apply(i, imgs[j])
-                k = by_image.get(composed.coeffs)
+                k = by_image.get(self.apply(i, imgs[j]))
                 if k is None:
                     raise InputError(
                         "automorphisms are not closed under composition"
@@ -602,12 +660,13 @@ class GaloisGroup:
 
     def apply(self, sigma: int, a: NumberFieldElement) -> NumberFieldElement:
         """sigma(a): evaluate a's power-basis polynomial at sigma(alpha)."""
-        out = self.field.zero
-        pw = self._matrices[sigma]
-        for k, c in enumerate(a.coeffs):
+        rows, den = self._matrices[sigma]
+        out = [0] * len(rows)
+        for c, row in zip(a.num, rows):
             if c:
-                out = out + pw[k] * c
-        return out
+                for k, r in enumerate(row):
+                    out[k] += c * r
+        return _reduced(self.field, tuple(out), a.den * den)
 
     def compose(self, i: int, j: int) -> int:
         """Index of sigma_i o sigma_j (apply sigma_j first)."""
@@ -617,13 +676,18 @@ class GaloisGroup:
         return next(j for j in range(self.order) if self.table[i][j] == self.identity_index)
 
     def trace(self, a: NumberFieldElement) -> NumberFieldElement:
-        out = self.field.zero
-        for i in range(self.order):
-            out = out + self.apply(i, a)
-        return out
+        rows, den = self._traces
+        num = sum(c * row[0] for c, row in zip(a.num, rows))
+        return _reduced(self.field, (num,) + (0,) * (len(rows) - 1), a.den * den)
 
     def is_fixed(self, a: NumberFieldElement) -> bool:
         return all(self.apply(i, a) == a for i in range(self.order))
+
+
+def _over_common_den(elements):
+    """(rows, den): each element's numerators scaled to one common den."""
+    den = lcm(*(e.den for e in elements))
+    return tuple(tuple(v * (den // e.den) for v in e.num) for e in elements), den
 
 
 def _evaluate_minpoly(field: NumberField, x: NumberFieldElement):

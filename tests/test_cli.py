@@ -268,6 +268,26 @@ class TestDescend:
         assert "[inverse]" not in out
         assert "inverse_recovered = false" in out
 
+    def test_out_of_memory_exit_three(self, monkeypatch, capsys):
+        def descend(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "descend", descend)
+        code, out, err = run(capsys, "descend", fixture_path("conic.txt"))
+        assert code == 3
+        assert err == "resource limit: out of memory\n"
+        assert out == ""
+
+    def test_non_integral_minpoly_matches_its_document(self, capsys):
+        # [DERIVED] conic_half_result.txt is the document written for
+        # conic_half.txt (minpoly t^2 + 1/4) before elements were stored as
+        # integer numerators over a denominator.
+        code, out, _ = run(
+            capsys, "descend", fixture_path("conic_half.txt"), "--prune"
+        )
+        assert code == 0
+        assert out == read_fixture("conic_half_result.txt")
+
 
 class TestCheckModel:
     def test_paper_claimed_model_accepted(self, capsys):
@@ -360,6 +380,17 @@ class TestCheckModel:
             fixture_path("conic.txt"),
             "--claimed",
             str(out_file),
+        )
+        assert code == 0
+        assert "result = pass" in out
+
+    def test_non_integral_minpoly_document_passes(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "check-model",
+            fixture_path("conic_half.txt"),
+            "--claimed",
+            fixture_path("conic_half_result.txt"),
         )
         assert code == 0
         assert "result = pass" in out

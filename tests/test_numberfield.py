@@ -1,10 +1,13 @@
+import functools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
+from weildescent import numberfield
 from weildescent.numberfield import _poly_is_irreducible
 
 
@@ -218,3 +221,196 @@ class TestTraceReconstruction:
         for lj, ej in zip(lam, basis):
             rebuilt = rebuilt + lj * cubic_group.trace(ej * a)
         assert rebuilt == a
+
+
+# -- oracle: the arithmetic against plain Fraction vectors --------------------
+#
+# Each field is (minimal polynomial, generator, images of the generator), all
+# as Fraction coordinate vectors written out here, so that the reference below
+# shares nothing with the module under test.
+
+ORACLE_FIELDS = {
+    "Q": ([0, 1], "q", [[0]]),
+    "Q(i)": ([1, 0, 1], "i", [[0, 1], [0, -1]]),
+    "Q(sqrt2)": ([-2, 0, 1], "s", [[0, 1], [0, -1]]),
+    # a -> a^2 - 2 -> -a^2 - a + 1
+    "cubic": ([-1, -2, 1, 1], "a", [[0, 1, 0], [-2, 0, 1], [1, -1, -1]]),
+    # z -> z^k, k = 1..4
+    "Q(zeta5)": ([1, 1, 1, 1, 1], "z",
+                 [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]),
+    # j^2 = -1/4: a minimal polynomial whose coefficients are not integers
+    "Q(j)": ([Fraction(1, 4), 0, 1], "j", [[0, 1], [0, -1]]),
+}
+
+
+@functools.cache
+def _oracle_field(name):
+    minpoly, gen, images = ORACLE_FIELDS[name]
+    field = wd.NumberField(minpoly, gen_name=gen)
+    return field, wd.GaloisGroup(field, [field.element(v) for v in images])
+
+
+def _ref(vec, m):
+    return [Fraction(c) for c in vec] + [Fraction(0)] * (m - len(vec))
+
+
+def _ref_mul(minpoly, a, b):
+    m = len(minpoly) - 1
+    prod = _times(a, b)
+    for k in range(len(prod) - 1, m - 1, -1):
+        c = prod[k]
+        for i in range(m + 1):
+            prod[k - m + i] -= c * minpoly[i]
+    return prod[:m]
+
+
+def _ref_inv(minpoly, a):
+    """Solve M y = e_0, where column j of M is a * gen^j."""
+    m = len(minpoly) - 1
+    cols = [_ref_mul(minpoly, a, _ref([0] * j + [1], m)) for j in range(m)]
+    rows = [[cols[j][i] for j in range(m)] + [Fraction(int(i == 0))]
+            for i in range(m)]
+    for k in range(m):
+        p = next(i for i in range(k, m) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(m):
+            if i != k:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    return [row[m] for row in rows]
+
+
+def _ref_pow(minpoly, a, n):
+    m = len(minpoly) - 1
+    if n < 0:
+        a, n = _ref_inv(minpoly, a), -n
+    out = _ref([1], m)
+    for _ in range(n):
+        out = _ref_mul(minpoly, out, a)
+    return out
+
+
+def _ref_apply(minpoly, image, a):
+    m = len(minpoly) - 1
+    out = _ref([], m)
+    for k, c in enumerate(a):
+        power = _ref_pow(minpoly, _ref(image, m), k)
+        out = [x + c * y for x, y in zip(out, power)]
+    return out
+
+
+def _ref_str(vec, gen):
+    terms = []
+    for k, c in enumerate(vec):
+        if not c:
+            continue
+        mono = "" if k == 0 else gen if k == 1 else f"{gen}^{k}"
+        if not mono:
+            terms.append(str(c))
+        elif abs(c) == 1:
+            terms.append(("-" if c < 0 else "") + mono)
+        else:
+            terms.append(f"{c}*{mono}")
+    if not terms:
+        return "0"
+    return terms[0] + "".join(
+        f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in terms[1:]
+    )
+
+
+def _oracle_vectors(m):
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    wide = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6)
+    coord = st.one_of(st.just(Fraction(0)), small, wide)
+    return st.lists(coord, min_size=m, max_size=m)
+
+
+def _assert_matches(x, ref):
+    """x equals the reference vector and is in canonical form."""
+    assert x.coeffs == tuple(ref)
+    assert len(x.num) == x.field.degree
+    assert all(type(v) is int for v in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+
+
+ORACLE_NAMES = sorted(ORACLE_FIELDS)
+
+
+class TestArithmeticOracle:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_ring_operations(self, name, data):
+        field, _ = _oracle_field(name)
+        minpoly = field.minpoly
+        a = data.draw(_oracle_vectors(field.degree))
+        b = data.draw(_oracle_vectors(field.degree))
+        x, y = field.element(a), field.element(b)
+        _assert_matches(x, a)
+        _assert_matches(x + y, [u + v for u, v in zip(a, b)])
+        _assert_matches(x - y, [u - v for u, v in zip(a, b)])
+        _assert_matches(-x, [-u for u in a])
+        _assert_matches(x * y, _ref_mul(minpoly, a, b))
+        assert (x == y) == (a == b)
+        # the same value reached two ways has one representation
+        for one, other in [(x * y, y * x), ((x + y) - y, x), (x - x, field.zero)]:
+            assert one == other
+            assert hash(one) == hash(other)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_inverse_and_powers(self, name, data):
+        field, _ = _oracle_field(name)
+        minpoly = field.minpoly
+        a = data.draw(_oracle_vectors(field.degree).filter(any))
+        n = data.draw(st.integers(-3, 4))
+        x = field.element(a)
+        _assert_matches(x.inverse(), _ref_inv(minpoly, a))
+        _assert_matches(x ** n, _ref_pow(minpoly, a, n))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_printing_and_rationality(self, name, data):
+        field, _ = _oracle_field(name)
+        a = data.draw(_oracle_vectors(field.degree))
+        if data.draw(st.booleans()):
+            a = a[:1] + [Fraction(0)] * (field.degree - 1)
+        x = field.element(a)
+        assert str(x) == _ref_str(a, field.gen_name)
+        assert x.is_rational() == (not any(a[1:]))
+        if x.is_rational():
+            assert x.as_rational() == a[0]
+            assert x == a[0]
+            assert field.rational(a[0]) == x
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_galois_apply_and_trace(self, name, data):
+        field, group = _oracle_field(name)
+        minpoly = field.minpoly
+        images = ORACLE_FIELDS[name][2]
+        a = data.draw(_oracle_vectors(field.degree))
+        x = field.element(a)
+        conjugates = [_ref_apply(minpoly, im, a) for im in images]
+        for sigma, ref in enumerate(conjugates):
+            _assert_matches(group.apply(sigma, x), ref)
+        _assert_matches(group.trace(x), [sum(c) for c in zip(*conjugates)])
+
+
+def test_arithmetic_constructs_no_fraction(monkeypatch):
+    # Fractions appear only where coordinates enter or leave an element.
+    field, group = _oracle_field("Q(j)")
+    x = field.element([Fraction(2, 3), Fraction(-5, 7)])
+    y = field.element([Fraction(1, 6), 4])
+
+    class Refused(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(numberfield, "Fraction", Refused)
+    x * y, x + y, x - y, -x, x.inverse(), x ** -2
+    group.apply(1, x), group.trace(x)
