@@ -15,7 +15,8 @@ terms) pairs.  weildescent.kernel re-exports the two entry points.
   monomial at most once, in a memo that lives only as long as that call.
 
 The budget is a single-element list of remaining reduction steps, decremented
-in place so one cap can span a whole pipeline.
+in place so one cap can span a whole pipeline; DEFAULT_BUDGET is the cap when
+none is given.
 """
 
 import heapq
@@ -24,6 +25,7 @@ from operator import add, le, neg, sub
 from .errors import ResourceLimit
 
 IMPL = "python"
+DEFAULT_BUDGET = 10**6
 
 
 class _NegKeys(dict):

@@ -87,6 +87,8 @@ class DescentDatum:
 
     def __init__(self, variety: AffineVariety, group: GaloisGroup, maps):
         if isinstance(maps, dict):
+            if not set(maps) <= set(range(group.order)):
+                raise InputError(f"datum keys must be group indices below {group.order}")
             lst = [maps.get(i) for i in range(group.order)]
         else:
             lst = list(maps)

@@ -8,6 +8,7 @@ blowup (ResourceLimit on breach, never a silent hang).
 from __future__ import annotations
 
 from . import kernel
+from .kernel import DEFAULT_BUDGET
 from .errors import InputError, ZeroDenominator
 from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap
 
@@ -22,7 +23,6 @@ __all__ = [
     "ideals_equal",
 ]
 
-DEFAULT_BUDGET = 10**6
 
 class Ideal:
     __slots__ = ("ring", "generators", "_gb_cache")

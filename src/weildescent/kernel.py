@@ -4,6 +4,6 @@ The implementation lives in _pykernel; this module re-exports it so callers
 go through one stable name.
 """
 
-from ._pykernel import IMPL, buchberger, normal_form
+from ._pykernel import DEFAULT_BUDGET, IMPL, buchberger, normal_form
 
-__all__ = ["IMPL", "buchberger", "normal_form"]
+__all__ = ["DEFAULT_BUDGET", "IMPL", "buchberger", "normal_form"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import kernel
 from .errors import InputError, ZeroDenominator
 from .numberfield import NumberField, NumberFieldElement
 
@@ -87,6 +88,8 @@ class PolyRing:
         return len(self.variables)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolyRing)
             and self.field == other.field
@@ -368,15 +371,6 @@ def poly_trace(P: MultiPoly, group) -> MultiPoly:
 # -- rational maps ------------------------------------------------------------------
 
 
-def _poly_content_monomial(p: MultiPoly):
-    if p.is_zero():
-        return None
-    mins = None
-    for m in p.terms:
-        mins = m if mins is None else tuple(min(a, b) for a, b in zip(mins, m))
-    return mins
-
-
 def _divide_monomial(p: MultiPoly, mono):
     return MultiPoly(
         p.ring,
@@ -384,54 +378,12 @@ def _divide_monomial(p: MultiPoly, mono):
     )
 
 
-def _univariate_gcd(p: MultiPoly, q: MultiPoly, var: int):
-    """Monic gcd of two polynomials univariate in the given variable."""
-    ring = p.ring
-
-    def to_list(f):
-        d = f.degree_in(var)
-        out = [ring.field.zero] * (d + 1)
-        for m, c in f.terms.items():
-            out[m[var]] = out[m[var]] + c
-        return out
-
-    def deg(lst):
-        for i in range(len(lst) - 1, -1, -1):
-            if not lst[i].is_zero():
-                return i
-        return -1
-
-    a, b = to_list(p), to_list(q)
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        factor = a[da] * b[db].inverse()
-        for k in range(db + 1):
-            a[da - db + k] = a[da - db + k] - factor * b[k]
-        if deg(a) < deg(b):
-            a, b = b, a
-    d = deg(a)
-    lead_inv = a[d].inverse()
-    terms = {}
-    for k in range(d + 1):
-        if not a[k].is_zero():
-            exps = [0] * ring.nvars
-            exps[var] = k
-            terms[tuple(exps)] = a[k] * lead_inv
-    return MultiPoly(ring, terms)
-
-
 def _poly_divides_exact(p: MultiPoly, d: MultiPoly):
-    """Quotient p / d when the division is exact, else None.
+    """Quotient p / d for a nonzero divisor d of p.
 
-    Single-divisor reduction: when p is a multiple of d the leading term of
-    the running remainder is always divisible by the leading term of d, so
-    the loop terminates with remainder zero exactly in that case.
+    Single-divisor reduction: as p is a multiple of d, the leading term of
+    the running remainder is always divisible by the leading term of d.
     """
-    if d.is_zero():
-        return None
     ring = p.ring
     dm, dc = d.leading_term()
     dc_inv = dc.inverse()
@@ -439,8 +391,6 @@ def _poly_divides_exact(p: MultiPoly, d: MultiPoly):
     quo = ring.zero
     while not rem.is_zero():
         rm, rc = rem.leading_term()
-        if any(a < b for a, b in zip(rm, dm)):
-            return None
         shift = MultiPoly(
             ring, {tuple(a - b for a, b in zip(rm, dm)): rc * dc_inv}
         )
@@ -449,86 +399,32 @@ def _poly_divides_exact(p: MultiPoly, d: MultiPoly):
     return quo
 
 
-def _coeff_in(f: MultiPoly, vx: int, k: int) -> MultiPoly:
-    """Coefficient of vx^k, as a polynomial free of vx."""
-    terms = {}
-    for m, c in f.terms.items():
-        if m[vx] == k:
-            mm = list(m)
-            mm[vx] = 0
-            terms[tuple(mm)] = c
-    return MultiPoly(f.ring, terms)
+def _lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Least common multiple of two nonzero polynomials, up to a scalar.
 
-
-def _shift_in(f: MultiPoly, vx: int, k: int) -> MultiPoly:
-    terms = {}
-    for m, c in f.terms.items():
-        mm = list(m)
-        mm[vx] += k
-        terms[tuple(mm)] = c
-    return MultiPoly(f.ring, terms)
-
-
-def _content_in(f: MultiPoly, vx: int, vy: int) -> MultiPoly:
-    """GCD over L[vy] of the vx-coefficients of f."""
-    g = None
-    for k in range(f.degree_in(vx) + 1):
-        c = _coeff_in(f, vx, k)
-        if c.is_zero():
-            continue
-        g = c if g is None else _univariate_gcd(g, c, vy)
-        if g.total_degree() == 0:
-            break
-    return g.monic()
-
-
-def _bivariate_gcd(p: MultiPoly, q: MultiPoly, vx: int, vy: int):
-    """Primitive-PRS Euclid in (L[vy])[vx]."""
-    cp = _content_in(p, vx, vy)
-    cq = _content_in(q, vx, vy)
-    cg = _univariate_gcd(cp, cq, vy)
-    a = _poly_divides_exact(p, cp) if cp.total_degree() > 0 else p
-    b = _poly_divides_exact(q, cq) if cq.total_degree() > 0 else q
-    if a.degree_in(vx) < b.degree_in(vx):
-        a, b = b, a
-    while not b.is_zero() and b.degree_in(vx) > 0:
-        # pseudo-remainder of a by b in vx
-        r = a
-        lb = _coeff_in(b, vx, b.degree_in(vx))
-        db = b.degree_in(vx)
-        while not r.is_zero() and r.degree_in(vx) >= db:
-            dr = r.degree_in(vx)
-            lr = _coeff_in(r, vx, dr)
-            r = lb * r - _shift_in(lr * b, vx, dr - db)
-        cont = None if r.is_zero() else _content_in(r, vx, vy)
-        if cont is not None and cont.total_degree() > 0:
-            r = _poly_divides_exact(r, cont)
-        elif cont is not None:
-            r = r.scale(cont.constant_value().inverse()) if r.is_constant() else r
-        a, b = b, r
-    if not b.is_zero():
-        # common factor is free of vx
-        return cg
-    return (a * cg).monic() if cg.total_degree() > 0 else a.monic()
-
-
-def _fraction_gcd(num: MultiPoly, den: MultiPoly):
-    """GCD used for fraction normalization; full only in <= 2 variables."""
-    ring = num.ring
-    used = [
-        i
-        for i in range(ring.nvars)
-        if num.uses_variable(i) or den.uses_variable(i)
+    lcm(p, q) generates the principal ideal <t*p, (1 - t)*q> intersected
+    with L[x] (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    Ch. 4 Sec. 3), so the reduced basis of <t*p, (1 - t)*q> in a block
+    order eliminating t has exactly one element free of t.
+    """
+    gens = [
+        {(1,) + m: c for m, c in p.terms.items()},
+        {(0,) + m: c for m, c in q.terms.items()}
+        | {(1,) + m: -c for m, c in q.terms.items()},
     ]
-    if len(used) == 1:
-        return _univariate_gcd(num, den, used[0])
-    if len(used) == 2:
-        return _bivariate_gcd(num, den, used[0], used[1])
-    return None
+    basis = kernel.buchberger(
+        gens, MonomialOrder("block", split=1).key, [kernel.DEFAULT_BUDGET]
+    )
+    (terms,) = [terms for lead, terms in basis if not lead[0]]
+    return MultiPoly(p.ring, {m[1:]: c for m, c in terms.items()})
 
 
 class RationalMap:
-    """A tuple of numerator/denominator pairs from one affine space to another."""
+    """A tuple of numerator/denominator pairs from one affine space to another.
+
+    Unless built with normalize=False, each component is kept in lowest
+    terms, in any number of variables, with a monic denominator.
+    """
 
     __slots__ = ("ring", "components")
 
@@ -591,20 +487,14 @@ def _normalize_fraction(num: MultiPoly, den: MultiPoly):
     if num.is_zero():
         return ring.zero, ring.one
     # Common monomial content.
-    cn = _poly_content_monomial(num)
-    cd = _poly_content_monomial(den)
-    common = tuple(min(a, b) for a, b in zip(cn, cd))
+    common = tuple(map(min, *num.terms, *den.terms))
     if any(common):
         num = _divide_monomial(num, common)
         den = _divide_monomial(den, common)
-    # Polynomial gcd within the stated (#vars <= 2) policy.
+    # Common polynomial factor: num/den = (lcm/den)/(lcm/num).
     if den.total_degree() > 0 and num.total_degree() > 0:
-        g = _fraction_gcd(num, den)
-        if g is not None and g.total_degree() > 0:
-            qn = _poly_divides_exact(num, g)
-            qd = _poly_divides_exact(den, g)
-            if qn is not None and qd is not None:
-                num, den = qn, qd
+        lcm = _lcm(num, den)
+        num, den = _poly_divides_exact(lcm, den), _poly_divides_exact(lcm, num)
     # Scalar content: make the denominator monic.
     _, lc = den.leading_term()
     if lc != 1:

@@ -320,6 +320,8 @@ class NumberField:
         return f"NumberField(deg={self.degree}, gen={self.gen_name!r})"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, NumberField)
             and self.minpoly == other.minpoly

@@ -171,16 +171,27 @@ def _parse_components(entries, ring, where):
     comps = []
     for key, value, lineno in entries:
         if key == "component":
-            comps.append([parse_poly(value, ring), ring.one])
+            comps.append([parse_poly(value, ring)])
         elif key == "denominator":
-            if not comps:
+            if not comps or len(comps[-1]) == 2:
                 raise InputError(
-                    f"line {lineno}: denominator before any component in {where}"
+                    f"line {lineno}: denominator without its own component in {where}"
                 )
-            comps[-1][1] = parse_poly(value, ring)
+            comps[-1].append(parse_poly(value, ring))
         else:
             raise InputError(f"line {lineno}: unknown key {key!r} in {where}")
-    return [tuple(c) for c in comps]
+    return [(c[0], c[1] if len(c) == 2 else ring.one) for c in comps]
+
+
+def _sections_by_name(sections):
+    """{name: entries}; a repeated section is an error, except [datum.*],
+    whose repeats are reported by label."""
+    by_name = {}
+    for name, entries in sections:
+        if name in by_name and not name.startswith("datum."):
+            raise InputError(f"duplicate section [{name}]")
+        by_name.setdefault(name, entries)
+    return by_name
 
 
 def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
@@ -192,11 +203,7 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
     ProblemFile.budget for the run.
     """
     sections = parse_sections(text)
-    by_name = {}
-    for name, entries in sections:
-        if name in by_name and not name.startswith("datum."):
-            raise InputError(f"duplicate section [{name}]")
-        by_name.setdefault(name, entries)
+    by_name = _sections_by_name(sections)
 
     if "field" not in by_name:
         raise InputError("missing [field] section")
@@ -289,8 +296,7 @@ class ClaimedModel:
 
 
 def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
-    sections = parse_sections(text)
-    by_name = dict(sections)
+    by_name = _sections_by_name(parse_sections(text))
     if "Y" not in by_name:
         raise InputError("claimed document misses the [Y] section")
     if "map" not in by_name:

@@ -192,11 +192,15 @@ def test_criterion_6_groebner_oracles(rational_field):
     report(6, "elimination, unit-ideal, and saturation oracles", ok)
 
 
+FIXTURE_NAMES = (
+    "humbert.txt", "trivial.txt", "stable.txt", "conic.txt", "twisted_conic.txt"
+)
+
+
 def _fixture_problems():
     from weildescent.problemfile import load_problem_text
 
-    names = ("humbert.txt", "trivial.txt", "stable.txt", "conic.txt")
-    return [(name, load_problem_text(read_fixture(name))) for name in names]
+    return [(name, load_problem_text(read_fixture(name))) for name in FIXTURE_NAMES]
 
 
 def test_criterion_7_rationality_of_all_models():
@@ -220,7 +224,7 @@ def test_criterion_7_rationality_of_all_models():
 
 def test_criterion_8_deterministic_documents(capsys):
     ok = True
-    for name in ("humbert.txt", "trivial.txt", "stable.txt", "conic.txt"):
+    for name in FIXTURE_NAMES:
         docs = []
         for _ in range(2):
             code = cli_main(["descend", fixture_path(name), "--prune"])

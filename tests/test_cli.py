@@ -13,6 +13,11 @@ from weildescent.problemfile import load_problem
 from tests.conftest import fixture_path, read_fixture
 
 
+# Fixtures with a committed `descend --prune` document, <name>_result.txt:
+# a non-integral minimal polynomial, and a datum with a denominator.
+DOCUMENTED_FIXTURES = ["conic_half", "twisted_conic"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -106,6 +111,27 @@ class TestVerifyDatum:
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run(capsys, "verify-datum", "no-such-file.txt")
         assert code == 2
+
+    def test_wrong_denominator_exit_one(self, tmp_path, capsys):
+        # With x1 + i the datum is the identity, which misses X^conj.
+        text = read_fixture("twisted_conic.txt").replace(
+            "denominator = x1 - i", "denominator = x1 + i"
+        )
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, out, _ = run(capsys, "verify-datum", str(bad))
+        assert code == 1
+        assert "FAIL  into-conjugate" in out
+
+    def test_second_denominator_exit_two(self, tmp_path, capsys):
+        text = read_fixture("twisted_conic.txt") + "denominator = x1 + i\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, out, err = run(capsys, "verify-datum", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "line 19: denominator without its own component" in err
+        assert "Traceback" not in err
 
     def test_deeply_nested_equation_exit_two(self, tmp_path, capsys):
         deep = "(" * 2000 + "x1" + ")" * 2000
@@ -278,15 +304,16 @@ class TestDescend:
         assert err == "resource limit: out of memory\n"
         assert out == ""
 
-    def test_non_integral_minpoly_matches_its_document(self, capsys):
-        # [DERIVED] conic_half_result.txt is the document written for
-        # conic_half.txt (minpoly t^2 + 1/4) before elements were stored as
-        # integer numerators over a denominator.
-        code, out, _ = run(
-            capsys, "descend", fixture_path("conic_half.txt"), "--prune"
-        )
+    # [DERIVED] conic_half_result.txt is the document written for
+    # conic_half.txt (minpoly t^2 + 1/4) before elements were stored as
+    # integer numerators over a denominator; twisted_conic_result.txt, for a
+    # datum with a denominator, before fractions were reduced in more than
+    # two variables.
+    @pytest.mark.parametrize("name", DOCUMENTED_FIXTURES)
+    def test_fixture_matches_its_document(self, name, capsys):
+        code, out, _ = run(capsys, "descend", fixture_path(f"{name}.txt"), "--prune")
         assert code == 0
-        assert out == read_fixture("conic_half_result.txt")
+        assert out == read_fixture(f"{name}_result.txt")
 
 
 class TestCheckModel:
@@ -350,6 +377,25 @@ class TestCheckModel:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("section", ["Y", "map", "inverse"])
+    def test_duplicate_section_exit_two(self, section, tmp_path, capsys):
+        text = read_fixture("humbert_claimed.txt")
+        start = text.index(f"[{section}]")
+        end = text.find("\n\n", start)
+        repeated = text[start:] if end < 0 else text[start:end + 1]
+        bad = tmp_path / "claimed.txt"
+        bad.write_text(text + "\n" + repeated)
+        code, out, err = run(
+            capsys,
+            "check-model",
+            fixture_path("humbert.txt"),
+            "--claimed",
+            str(bad),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"duplicate section [{section}]" in err
+
     def test_undecodable_claimed_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "claimed.txt"
         bad.write_bytes(b"\xff\xfe\x00")
@@ -384,13 +430,14 @@ class TestCheckModel:
         assert code == 0
         assert "result = pass" in out
 
-    def test_non_integral_minpoly_document_passes(self, capsys):
+    @pytest.mark.parametrize("name", DOCUMENTED_FIXTURES)
+    def test_fixture_document_passes(self, name, capsys):
         code, out, _ = run(
             capsys,
             "check-model",
-            fixture_path("conic_half.txt"),
+            fixture_path(f"{name}.txt"),
             "--claimed",
-            fixture_path("conic_half_result.txt"),
+            fixture_path(f"{name}_result.txt"),
         )
         assert code == 0
         assert "result = pass" in out

@@ -52,6 +52,13 @@ class TestVarietyAndDatum:
         with pytest.raises(wd.InputError):
             wd.DescentDatum(X, qi_group, {1: f})
 
+    def test_out_of_range_key_rejected(self, qi, qi_group):
+        ring = wd.PolyRing(qi, ("x1", "x2"))
+        X = wd.AffineVariety(ring, [p("x1*x2 - i", ring)])
+        f = wd.RationalMap(ring, [p("x1", ring), p("-x2", ring)])
+        with pytest.raises(wd.InputError, match="datum keys"):
+            wd.DescentDatum(X, qi_group, {1: f, 5: f})
+
 
 class TestVerifyDatum:
     def test_humbert_passes(self, humbert):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 import weildescent as wd
 
@@ -86,13 +88,53 @@ class TestCanonicalString:
         assert str(a) == str(b)
 
 
+FRACTION_FIELDS = {
+    "Q": wd.NumberField([0, 1], gen_name="q0"),
+    "Q(i)": wd.NumberField([1, 0, 1], gen_name="i"),
+}
+
+
+def fraction_cases():
+    """(field name, number of variables, a, b, g) with a, b, g term dicts of
+    1-3 terms, each exponent <= 1 and small integer coefficient vectors."""
+    def for_shape(name, nvars):
+        coeff = st.tuples(*[st.integers(-3, 3)] * FRACTION_FIELDS[name].degree)
+        mono = st.tuples(*[st.integers(0, 1)] * nvars)
+        terms = st.dictionaries(mono, coeff.filter(any), min_size=1, max_size=3)
+        return st.tuples(st.just(name), st.just(nvars), terms, terms, terms)
+    shapes = st.tuples(st.sampled_from(sorted(FRACTION_FIELDS)), st.integers(1, 3))
+    return shapes.flatmap(lambda shape: for_shape(*shape))
+
+
+def to_sympy(P):
+    return sympy.sympify(str(P).replace("^", "**"), locals={"i": sympy.I})
+
+
 class TestRationalMap:
-    def test_univariate_gcd_normalization(self, qi):
-        ring = wd.PolyRing(qi, ("x",))
-        f = wd.RationalMap(ring, [(p("x^2 - 1", ring), p("x - 1", ring))])
-        num, den = f.components[0]
-        assert num == p("x + 1", ring)
-        assert den == ring.one
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(fraction_cases())
+    # (x^2 - 1)/(x - 1), and (x - 1)/(y + 2) times (x + y + z)/(x + y + z).
+    @example(("Q(i)", 1, {(2,): (1, 0), (0,): (-1, 0)},
+              {(1,): (1, 0), (0,): (-1, 0)}, {(0,): (1, 0)}))
+    @example(("Q", 3, {(1, 0, 0): (1,), (0, 0, 0): (-1,)},
+              {(0, 1, 0): (1,), (0, 0, 0): (2,)},
+              {(1, 0, 0): (1,), (0, 1, 0): (1,), (0, 0, 1): (1,)}))
+    def test_fraction_normal_form_matches_sympy(self, case):
+        """(a*g)/(b*g) reduces to lowest terms with a monic denominator;
+        sympy's gcd over Q(i) is the oracle for lowest terms."""
+        name, nvars, a, b, g = case
+        field = FRACTION_FIELDS[name]
+        ring = wd.PolyRing(field, ("x", "y", "z")[:nvars])
+
+        def poly(terms):
+            return wd.MultiPoly(ring, {m: field.element(c) for m, c in terms.items()})
+
+        num_in, den_in = poly(a) * poly(g), poly(b) * poly(g)
+        (num, den), = wd.RationalMap(ring, [(num_in, den_in)]).components
+        assert num * den_in == num_in * den
+        common = sympy.gcd(to_sympy(num), to_sympy(den), extension=sympy.I)
+        assert not common.free_symbols
+        assert den.leading_term()[1] == field.one
 
     def test_monomial_content_removed(self, ring):
         f = wd.RationalMap(ring, [(p("x^2*y", ring), p("x*y^2", ring))])
