@@ -26,6 +26,7 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     _as_budget,
+    _block_basis,
     _denominator_product,
     _fresh_name,
     _graph_basis,
@@ -322,12 +323,12 @@ def _phi_map(d: DescentDatum) -> RationalMap:
     return RationalMap(d.variety.ring, comps, normalize=False)
 
 
-def build_phi(d: DescentDatum, budget=None, action=None):
+def build_phi(d: DescentDatum, budget=None):
     """Phi: x -> (f_sigma(x))_sigma, and the ideal of Phi(X) in the block ring."""
     budget = _as_budget(budget)
     group = d.group
     X = d.variety
-    action = action or _phi_action(d)
+    action = _phi_action(d)
     big = action.ring
     n = X.ring.nvars
     phi = _phi_map(d)
@@ -643,24 +644,12 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
     current = y_ideal
     dropped = []
     for name in reversed(names):
-        kept = current.ring.variables
-        if len(kept) == 1:
+        if current.ring.nvars == 1:
             break
-        reordered = PolyRing(
-            current.ring.field,
-            (name,) + tuple(v for v in kept if v != name),
-            MonomialOrder("block", split=1),
-        )
-        moved = Ideal(reordered, [g.transplant(reordered) for g in current.generators])
-        gb = moved.groebner_basis(budget=budget)
-        lead = (1,) + (0,) * (reordered.nvars - 1)
-        expressible = any(
-            g.degree_in(0) == 1
-            and lead in g.terms
-            and all(m[0] == 0 for m in g.terms if m != lead)
-            for g in gb.elements
-        )
-        if expressible:
+        gb, _ = _block_basis(current, {name}, budget)
+        # With t_j first, an element with lead exactly t_j is t_j - p(rest).
+        t_j = (1,) + (0,) * (current.ring.nvars - 1)
+        if any(lead == t_j for lead, _ in gb.divisors):
             dropped.append(name)
             # This block basis eliminates t_j: its elements free of t_j
             # generate the ideal of the kept coordinates.

@@ -78,16 +78,6 @@ class GroebnerBasis:
     def __repr__(self):
         return f"GroebnerBasis<{', '.join(str(g) for g in self.elements)}>"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.ring == other.ring
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.elements))
-
 
 def _as_budget(budget):
     """The one-element list of remaining steps that every kernel call draws from.
@@ -120,42 +110,46 @@ def normal_form(P: MultiPoly, gb: GroebnerBasis, budget=None) -> MultiPoly:
     return MultiPoly(gb.ring, rem)
 
 
-def _elimination_ring(ring: PolyRing, drop_indices):
-    """Ring with dropped variables first under a block order."""
-    drop = [ring.variables[i] for i in sorted(drop_indices)]
-    keep = [v for i, v in enumerate(ring.variables) if i not in drop_indices]
-    order = MonomialOrder("block", split=len(drop))
-    return PolyRing(ring.field, drop + keep, order)
+def _block_basis(I: Ideal, first, budget=None):
+    """Basis of I in the block order that eliminates the variables named in `first`.
+
+    Those variables move to the front, in ring order, and the rest follow in
+    ring order.  Returns (basis, size of the first block).
+    """
+    ring = I.ring
+    names = [v for v in ring.variables if v in first]
+    split = len(names)
+    names += [v for v in ring.variables if v not in first]
+    block = PolyRing(ring.field, names, MonomialOrder("block", split=split))
+    moved = Ideal(block, [g.transplant(block) for g in I.generators])
+    return moved.groebner_basis(budget=budget), split
 
 
 def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
-    """I intersected with the subring of the kept variables."""
-    ring = I.ring
-    drop_indices = set()
+    """I intersected with the subring free of the variables named in drop_vars."""
     for v in drop_vars:
-        if isinstance(v, str):
-            if v not in ring._var_index:
-                raise InputError(f"no variable {v!r} to eliminate")
-            drop_indices.add(ring._var_index[v])
-        else:
-            drop_indices.add(v)
-    elim_ring = _elimination_ring(ring, drop_indices)
-    moved = Ideal(elim_ring, [g.transplant(elim_ring) for g in I.generators])
-    return _second_block(moved.groebner_basis(budget=budget), len(drop_indices))
+        if v not in I.ring.variables:
+            raise InputError(f"no variable {v!r} to eliminate")
+    return _second_block(*_block_basis(I, set(drop_vars), budget))
 
 
 def _second_block(gb: GroebnerBasis, split) -> Ideal:
-    """The elements of a block-order basis free of the first `split` variables.
+    """The elimination ideal of the first `split` variables of a block-order basis.
 
-    They generate the elimination ideal; it is returned in a grevlex ring over
-    the remaining variables.
+    The basis elements free of those variables are its reduced grevlex basis
+    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, Ch. 3 Sec. 1).
+    The ideal is returned in a grevlex ring over the remaining variables,
+    generated by that basis and with it cached.
     """
     ring = PolyRing(gb.ring.field, gb.ring.variables[split:], MonomialOrder("grevlex"))
-    out = []
-    for g in gb.elements:
-        if all(not g.uses_variable(i) for i in range(split)):
-            out.append(g.transplant(ring))
-    return Ideal(ring, out)
+    basis = GroebnerBasis(ring, [
+        (lead[split:], {m[split:]: c for m, c in terms.items()})
+        for lead, terms in gb.divisors
+        if not any(lead[:split])
+    ])
+    ideal = Ideal(ring, basis.elements)
+    ideal._gb_cache[ring.order] = basis
+    return ideal
 
 
 def _fresh_name(name, taken):
@@ -166,20 +160,19 @@ def _fresh_name(name, taken):
 
 
 def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
-    """I : h^infinity via the auxiliary variable 1 - t*h."""
+    """I : h^infinity: the auxiliary variable t eliminated from I + <1 - t*h>."""
     if h.is_zero():
         raise InputError("cannot saturate by the zero polynomial")
     ring = I.ring
     aux = _fresh_name("_sat", set(ring.variables))
-    big = PolyRing(ring.field, (aux,) + ring.variables, MonomialOrder("block", split=1))
+    big = PolyRing(ring.field, (aux,) + ring.variables)
     gens = [g.transplant(big) for g in I.generators]
     gens.append(big.one - big.var(aux) * h.transplant(big))
-    gb = Ideal(big, gens).groebner_basis(budget=budget)
-    # The basis elements free of aux generate the saturation; they move back
-    # into the caller's ring so downstream code sees familiar objects.
-    return Ideal(
-        ring, [g.transplant(ring) for g in gb.elements if not g.uses_variable(0)]
-    )
+    sat = eliminate(Ideal(big, gens), [aux], budget)
+    if sat.ring == ring:
+        return sat
+    # A lex caller gets the generators back in its own ring.
+    return Ideal(ring, [g.transplant(ring) for g in sat.generators])
 
 
 def _denominator_product(maps):
@@ -204,16 +197,13 @@ def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, budget=None):
     prod = _denominator_product([F])
     if prod is not None:
         names.append(_fresh_name("_sat", set(names) | set(target_vars)))
-    split = len(names)
-    big = PolyRing(
-        ring.field, tuple(names) + target_vars, MonomialOrder("block", split=split)
-    )
+    big = PolyRing(ring.field, tuple(names) + target_vars)
     gens = [g.transplant(big) for g in I_source.generators]
     for tname, (num, den) in zip(target_vars, F.components):
         gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
     if prod is not None:
-        gens.append(big.one - big.var(split - 1) * prod.transplant(big))
-    return Ideal(big, gens).groebner_basis(budget=budget), split
+        gens.append(big.one - big.var(names[-1]) * prod.transplant(big))
+    return _block_basis(Ideal(big, gens), set(names), budget)
 
 
 def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Ideal:

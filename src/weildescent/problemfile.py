@@ -183,12 +183,22 @@ def _parse_components(entries, ring, where):
     return [(c[0], c[1] if len(c) == 2 else ring.one) for c in comps]
 
 
-def _sections_by_name(sections):
-    """{name: entries}; a repeated section is an error, except [datum.*],
-    whose repeats are reported by label."""
+def _check_keys(entries, known, where):
+    for key, _, lineno in entries:
+        if key not in known:
+            raise InputError(f"line {lineno}: unknown key {key!r} in {where}")
+
+
+def _sections_by_name(sections, known):
+    """{name: entries}; a section not in `known` ("datum.*" stands for every
+    [datum.<label>]) is an error, and so is a repeated one, except
+    [datum.*], whose repeats are reported by label."""
     by_name = {}
     for name, entries in sections:
-        if name in by_name and not name.startswith("datum."):
+        datum = name.startswith("datum.")
+        if ("datum.*" if datum else name) not in known:
+            raise InputError(f"unknown section [{name}]")
+        if name in by_name and not datum:
             raise InputError(f"duplicate section [{name}]")
         by_name.setdefault(name, entries)
     return by_name
@@ -203,7 +213,9 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
     ProblemFile.budget for the run.
     """
     sections = parse_sections(text)
-    by_name = _sections_by_name(sections)
+    by_name = _sections_by_name(
+        sections, {"field", "galois", "variety", "options", "datum.*"}
+    )
 
     if "field" not in by_name:
         raise InputError("missing [field] section")
@@ -236,14 +248,12 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
     order_name = order or options.get("order", "grevlex")
     budget = _as_budget(budget if budget is not None else options.get("budget"))
     ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
+    _check_keys(by_name["variety"], ("variables", "equation"), "[variety]")
     equations = [
         parse_poly(value, ring)
         for key, value, _ in by_name["variety"]
         if key == "equation"
     ]
-    for key, _, lineno in by_name["variety"]:
-        if key not in ("variables", "equation"):
-            raise InputError(f"line {lineno}: unknown key {key!r} in [variety]")
     variety = AffineVariety(ring, equations, budget=budget)
 
     maps = {}
@@ -296,11 +306,14 @@ class ClaimedModel:
 
 
 def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
-    by_name = _sections_by_name(parse_sections(text))
+    by_name = _sections_by_name(
+        parse_sections(text), {"Y", "map", "inverse", "certificates"}
+    )
     if "Y" not in by_name:
         raise InputError("claimed document misses the [Y] section")
     if "map" not in by_name:
         raise InputError("claimed document misses the [map] section")
+    _check_keys(by_name["Y"], ("variables", "equation"), "[Y]")
     y_vars = _split_values(_single(by_name["Y"], "variables"))
     if not y_vars:
         raise InputError("[Y] must declare its variables")

@@ -13,9 +13,17 @@ from weildescent.problemfile import load_problem
 from tests.conftest import fixture_path, read_fixture
 
 
-# Fixtures with a committed `descend --prune` document, <name>_result.txt:
-# a non-integral minimal polynomial, and a datum with a denominator.
-DOCUMENTED_FIXTURES = ["conic_half", "twisted_conic"]
+# Committed `descend` documents, <stem>_result.txt, each with the problem
+# file and flags that write it.  Pruned: a non-integral minimal polynomial,
+# and a datum with a denominator.  Unpruned: Y read straight off the graph
+# basis, in every invariant coordinate.
+DOCUMENTED_FIXTURES = {
+    "conic_half": ("conic_half", ["--prune"]),
+    "twisted_conic": ("twisted_conic", ["--prune"]),
+    "conic_unpruned": ("conic", []),
+    "humbert_unpruned": ("humbert", []),
+    "twisted_conic_unpruned": ("twisted_conic", []),
+}
 
 
 def run(capsys, *argv):
@@ -286,6 +294,15 @@ class TestDescend:
         assert code == 2
         assert "cannot read problem file" in err
 
+    def test_unknown_section_exit_two(self, tmp_path, capsys):
+        # A misspelt [options] would otherwise drop its budget without a word.
+        bad = tmp_path / "bad.txt"
+        bad.write_text(read_fixture("conic.txt") + "\n[optoins]\nbudget = 1\n")
+        code, out, err = run(capsys, "descend", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "unknown section [optoins]" in err
+
     def test_no_inverse_flag(self, capsys):
         code, out, _ = run(
             capsys, "descend", fixture_path("conic.txt"), "--no-inverse"
@@ -308,12 +325,14 @@ class TestDescend:
     # conic_half.txt (minpoly t^2 + 1/4) before elements were stored as
     # integer numerators over a denominator; twisted_conic_result.txt, for a
     # datum with a denominator, before fractions were reduced in more than
-    # two variables.
-    @pytest.mark.parametrize("name", DOCUMENTED_FIXTURES)
-    def test_fixture_matches_its_document(self, name, capsys):
-        code, out, _ = run(capsys, "descend", fixture_path(f"{name}.txt"), "--prune")
+    # two variables; the *_unpruned_result.txt documents, before eliminated
+    # ideals kept the basis they were read from.
+    @pytest.mark.parametrize("stem", list(DOCUMENTED_FIXTURES))
+    def test_fixture_matches_its_document(self, stem, capsys):
+        name, flags = DOCUMENTED_FIXTURES[stem]
+        code, out, _ = run(capsys, "descend", fixture_path(f"{name}.txt"), *flags)
         assert code == 0
-        assert out == read_fixture(f"{name}_result.txt")
+        assert out == read_fixture(f"{stem}_result.txt")
 
 
 class TestCheckModel:
@@ -396,6 +415,36 @@ class TestCheckModel:
         assert out == ""
         assert f"duplicate section [{section}]" in err
 
+    def test_unknown_key_in_y_exit_two(self, tmp_path, capsys):
+        # Dropping the misspelt equations would leave Y the whole space,
+        # which every map lands in.
+        text = read_fixture("conic_unpruned_result.txt")
+        text = text.replace("equation = ", "equaton = ")
+        text = text[:text.index("[inverse]")] + text[text.index("[certificates]"):]
+        bad = tmp_path / "claimed.txt"
+        bad.write_text(text)
+        code, out, err = run(
+            capsys, "check-model", fixture_path("conic.txt"), "--claimed", str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown key 'equaton' in [Y]" in err
+
+    def test_unknown_section_in_claimed_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "claimed.txt"
+        text = read_fixture("humbert_claimed.txt") + "\n[options]\nprune = true\n"
+        bad.write_text(text)
+        code, out, err = run(
+            capsys,
+            "check-model",
+            fixture_path("humbert.txt"),
+            "--claimed",
+            str(bad),
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown section [options]" in err
+
     def test_undecodable_claimed_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "claimed.txt"
         bad.write_bytes(b"\xff\xfe\x00")
@@ -430,14 +479,15 @@ class TestCheckModel:
         assert code == 0
         assert "result = pass" in out
 
-    @pytest.mark.parametrize("name", DOCUMENTED_FIXTURES)
-    def test_fixture_document_passes(self, name, capsys):
+    @pytest.mark.parametrize("stem", list(DOCUMENTED_FIXTURES))
+    def test_fixture_document_passes(self, stem, capsys):
+        name, _ = DOCUMENTED_FIXTURES[stem]
         code, out, _ = run(
             capsys,
             "check-model",
             fixture_path(f"{name}.txt"),
             "--claimed",
-            fixture_path(f"{name}_result.txt"),
+            fixture_path(f"{stem}_result.txt"),
         )
         assert code == 0
         assert "result = pass" in out

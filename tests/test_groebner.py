@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
 from tests.conftest import humbert_datum
+from weildescent.descent import _sigma_stable
 
 
 @pytest.fixture
@@ -25,6 +27,29 @@ class TestBases:
         J = wd.eliminate(I, ["x"])
         expected = wd.Ideal(J.ring, [p("y^3 - z^2", J.ring)])
         assert wd.ideals_equal(J, expected)
+
+    @pytest.mark.parametrize("drop", [[0], ["w"], ["x", 5]])
+    def test_eliminate_takes_names_of_ring_variables(self, qring, drop):
+        I = wd.Ideal(qring, [p("y - x^2", qring)])
+        with pytest.raises(wd.InputError, match="no variable"):
+            wd.eliminate(I, drop)
+
+    @pytest.mark.parametrize("y_image, stable", [("x^2", True), ("i*x^2", False)])
+    def test_eliminated_ideal_needs_no_kernel_call(
+        self, qi, qi_group, monkeypatch, y_image, stable
+    ):
+        # [DERIVED] eliminating x from <y - c*x^2, z - x^3> leaves
+        # <y^3 - c^3*z^2>: sigma-stable for c = 1, not for c = i.
+        ring = wd.PolyRing(qi, ("x", "y", "z"))
+        I = wd.Ideal(ring, [p(f"y - {y_image}", ring), p("z - x^3", ring)])
+        J = wd.eliminate(I, ["x"])
+
+        def refuse(*args):
+            raise AssertionError("a kernel call re-based an eliminated ideal")
+
+        monkeypatch.setattr(sys.modules["weildescent.kernel"], "buchberger", refuse)
+        assert len(J.groebner_basis().elements) == 1
+        assert _sigma_stable(J, qi_group) is stable
 
     def test_saturation_oracle(self, qring):
         # [DERIVED] saturate(<x*y>, x) = <y>
@@ -146,6 +171,13 @@ def reduced_terms(I):
     return [g.terms for g in wd.groebner(I, grevlex).elements]
 
 
+def assert_cached_basis_is_reduced(I):
+    """I carries its grevlex basis, equal to one computed from its generators."""
+    grevlex = wd.MonomialOrder("grevlex")
+    cached = I._gb_cache[grevlex]
+    assert cached.divisors == wd.groebner(I, grevlex).divisors
+
+
 class TestAgainstSympy:
     """Independent cross-check of reduced bases and normal forms."""
 
@@ -223,7 +255,7 @@ class TestAgainstSympy:
     def test_block_order_elimination_matches_sympy(self, case):
         """eliminate, which runs in a block order, keeps the elements of
         sympy's lex basis free of x; saturate is that elimination of an
-        auxiliary variable."""
+        auxiliary variable.  Both results carry their reduced basis."""
         name, _, gens, h = case
         field, domain, _ = ORACLE_FIELDS[name]
         ring = wd.PolyRing(field, ("x", "y", "z"))
@@ -239,13 +271,17 @@ class TestAgainstSympy:
         )
         theirs = [from_sympy(g, elim.ring, 1) for g in lex.polys if g.degree(0) == 0]
         assert reduced_terms(elim) == reduced_terms(wd.Ideal(elim.ring, theirs))
+        assert_cached_basis_is_reduced(elim)
 
         # I : h^oo = (I + <1 - t*h>) ∩ k[x, y, z].
         big = wd.PolyRing(field, ("t", "x", "y", "z"))
         aux = [g.transplant(big) for g in I.generators]
         aux.append(big.one - big.var("t") * poly(h).transplant(big))
         by_hand = wd.eliminate(wd.Ideal(big, aux), ["t"])
-        assert reduced_terms(wd.saturate(I, poly(h))) == reduced_terms(by_hand)
+        sat = wd.saturate(I, poly(h))
+        assert reduced_terms(sat) == reduced_terms(by_hand)
+        assert_cached_basis_is_reduced(sat)
+        assert_cached_basis_is_reduced(by_hand)
 
 
 class TestImageIdeal:
