@@ -23,6 +23,8 @@ DOCUMENTED_FIXTURES = {
     "conic_unpruned": ("conic", []),
     "humbert_unpruned": ("humbert", []),
     "twisted_conic_unpruned": ("twisted_conic", []),
+    "twisted_conic_lex": ("twisted_conic", ["--prune", "--order", "lex"]),
+    "twisted_conic_lex_unpruned": ("twisted_conic", ["--order", "lex"]),
 }
 
 
