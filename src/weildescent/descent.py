@@ -274,9 +274,11 @@ def _conjugates_disjoint(X: AffineVariety, group, budget=None) -> bool:
 def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
     """Augment the model so conjugate varieties are pairwise disjoint.
 
-    Adds one coordinate per non-identity group element, pinned to alpha
-    (every non-identity automorphism moves alpha), exactly when some pair of
-    conjugates already meets.  Returns the input unchanged otherwise.
+    Exactly when some pair of conjugates already meets, adds one coordinate,
+    last in the ring and pinned to alpha by the equation x - alpha; its datum
+    component for sigma is sigma(alpha).  The group's images of alpha are
+    pairwise distinct, so the conjugates of the augmented model are too.
+    Returns the input unchanged otherwise.
     """
     budget = _as_budget(budget)
     group = d.group
@@ -285,22 +287,18 @@ def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
         return d
 
     ring = X.ring
-    extra = ()
-    for k in range(group.order - 1):
-        extra += (_fresh_name(f"x{ring.nvars + k + 1}", ring.variables + extra),)
-    big = PolyRing(ring.field, ring.variables + extra, ring.order)
+    pinned = _fresh_name(f"x{ring.nvars + 1}", ring.variables)
+    big = PolyRing(ring.field, ring.variables + (pinned,), ring.order)
     alpha = ring.field.gen
     gens = [g.transplant(big) for g in X.generators]
-    for name in extra:
-        gens.append(big.var(name) - big.constant(alpha))
+    gens.append(big.var(pinned) - big.constant(alpha))
     Xhat = AffineVariety(big, gens, budget=budget)
 
     new_maps = []
     for s in group:
-        f = d.maps[s]
-        comps = [(num.transplant(big), den.transplant(big)) for num, den in f.components]
-        for _ in extra:
-            comps.append((big.constant(group.apply(s, alpha)), big.one))
+        comps = [(num.transplant(big), den.transplant(big))
+                 for num, den in d.maps[s].components]
+        comps.append((big.constant(group.apply(s, alpha)), big.one))
         new_maps.append(RationalMap(big, comps, normalize=False))
     return DescentDatum(Xhat, group, new_maps)
 
@@ -465,18 +463,18 @@ def descend(
         )
 
     dd = disjointify(d, budget=budget)
-    Xw = dd.variety
+    X = d.variety
 
     # Certify disjointness of the working model's conjugates: disjointify
     # returns its input only after finding every pair disjoint.
-    disjoint = dd is d or _conjugates_disjoint(Xw, group, budget)
+    disjoint = dd is d or _conjugates_disjoint(dd.variety, group, budget)
     certificates["disjoint_conjugates"] = disjoint
     if not disjoint:
         raise VerificationError("conjugate models are not pairwise disjoint")
 
     action = _phi_action(dd)
     phi = _phi_map(dd)
-    invars = generate_invariants(action)
+    invars = generate_invariants(action, budget)
 
     # Certify the invariance and rationality of the generators (exact).
     certificates["psi_theta_invariant"] = all(
@@ -488,18 +486,19 @@ def descend(
     if not (certificates["psi_theta_invariant"] and certificates["psi_rational"]):
         raise VerificationError("invariant generators failed their certificates")
 
-    taken = set(Xw.ring.variables)
+    taken = set(X.ring.variables)
     tnames = tuple(_fresh_name(f"t{k + 1}", taken) for k in range(len(invars)))
     psi = RationalMap(action.ring, [(E, action.ring.one) for E in invars],
                       normalize=False)
     R = compose_map(psi, phi)
-    x_gb = Xw.ideal.groebner_basis(budget=budget)
-    R = _reduce_map(R, x_gb, budget)
+    R = _reduce_map(R, dd.variety.ideal.groebner_basis(budget=budget), budget)
+    if dd is not d:
+        R = _restrict_to_original(d, R)
 
     # Y is the image of R, eliminated from the graph basis; _reduce_map has
     # already rejected a denominator vanishing on X.  The same graph basis
     # gives R^-1 below unless pruning changes the target coordinates.
-    graph = _graph_basis(R, Xw.ideal, tnames, budget)
+    graph = _graph_basis(R, X.ideal, tnames, budget)
     y_ideal = _second_block(*graph)
 
     # Pruning reads only reduced bases, which depend on the ideal alone, so
@@ -509,9 +508,8 @@ def descend(
         y_ideal, R, pruned = _prune_coordinates(y_ideal, R, budget)
     y_ideal = _certify_y(y_ideal, group, certificates, budget)
 
-    # Relation R = R^sigma o f_sigma on the working model.
     for s in group:
-        relation, witness = _relation(R, dd, s, budget)
+        relation, witness = _relation(R, d, s, budget)
         if not relation:
             break
     certificates["descent_relation"] = relation
@@ -521,23 +519,13 @@ def descend(
     inverse = None
     if want_inverse:
         if pruned:
-            inverse = recover_inverse(R, Xw.ideal, y_ideal, budget=budget)
+            inverse = recover_inverse(R, X.ideal, y_ideal, budget=budget)
         else:
-            inverse = _inverse_from_graph(*graph, Xw.ring.nvars, y_ideal, budget)
+            inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal, budget)
     certificates["inverse_recovered"] = inverse is not None
 
-    # Fold the disjointification back onto the original model: substitute the
-    # pinned coordinates and keep the original components of the inverse.
-    if dd is not d:
-        R, inverse = _restrict_to_original(d, dd, R, inverse)
-        certificates["descent_relation"] = all(
-            _relation(R, d, s, budget)[0] for s in group
-        )
-        if not certificates["descent_relation"]:
-            raise VerificationError("R != R^sigma o f_sigma after restriction")
-
     if inverse is not None:
-        checks = _verify_inverse(R, inverse, d.variety.ideal, y_ideal, budget)
+        checks = _verify_inverse(R, inverse, X.ideal, y_ideal, budget)
         if not all(ok for ok, _ in checks):
             inverse = None
             certificates["inverse_recovered"] = False
@@ -556,22 +544,16 @@ def descend(
     )
 
 
-def _restrict_to_original(d, dd, R, inverse):
+def _restrict_to_original(d: DescentDatum, R: RationalMap) -> RationalMap:
+    """R, reduced modulo the disjointified model, carried onto X's ring.
+
+    The pinned coordinate is the last variable, so the reduced basis holds
+    x - alpha with lead x in either order, and the reduced components are
+    already free of it.
+    """
     ring = d.variety.ring
-    n = ring.nvars
-    values = [ring.var(i) for i in range(n)]
-    alpha = ring.constant(ring.field.gen)
-    for _ in range(dd.variety.ring.nvars - n):
-        values.append(alpha)
-    comps = []
-    for num, den in R.components:
-        comps.append((num.substitute(values), den.substitute(values)))
-    R0 = RationalMap(ring, comps)
-    inv0 = None
-    if inverse is not None:
-        inv0 = RationalMap(inverse.ring, list(inverse.components)[:n],
-                           normalize=False)
-    return R0, inv0
+    comps = [(num.transplant(ring), den.transplant(ring)) for num, den in R.components]
+    return RationalMap(ring, comps, normalize=False)
 
 
 def _verify_inverse(R, Rinv, x_ideal, y_ideal, budget):

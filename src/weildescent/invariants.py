@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from ._pykernel import _spend
 from .errors import InputError, ResourceLimit
+from .groebner import _as_budget
 from .multipoly import MonomialOrder, MultiPoly, PolyRing
 
 __all__ = [
@@ -97,13 +99,16 @@ def _count_monomials(nvars, max_degree):
     return total
 
 
-def generate_invariants(action: BlockPermutationAction):
+def generate_invariants(action: BlockPermutationAction, budget=None):
     """Minimal orbit-sum generators of the invariant algebra.
 
     Orbit sums of all monomials of total degree <= |group| (integer
     coefficients, not divided by orbit size), deduplicated by canonical orbit
     representative, sorted by (degree, representative), then minimized.
+    Each orbit sum, product and echelon row subtraction spends one step of
+    the budget.
     """
+    budget = _as_budget(budget)
     nvars = action.ring.nvars
     bound = action.group.order
     if _count_monomials(nvars, bound) > MAX_MONOMIALS:
@@ -118,6 +123,7 @@ def generate_invariants(action: BlockPermutationAction):
         for exps in _monomials_of_degree(nvars, degree):
             if exps in seen:
                 continue
+            _spend(budget)
             orbit = {action.act_on_monomial(tau, exps) for tau in action.group}
             seen.update(orbit)
             rep = max(orbit)
@@ -125,10 +131,10 @@ def generate_invariants(action: BlockPermutationAction):
         by_rep.sort(key=lambda t: t[0])
         for _, orbit in by_rep:
             raw.append(MultiPoly(action.ring, {m: one for m in orbit}))
-    return minimize_generators(raw)
+    return minimize_generators(raw, budget)
 
 
-def minimize_generators(gens):
+def minimize_generators(gens, budget=None):
     """Keep each generator that is not in the subalgebra of those kept before it.
 
     The generators must be homogeneous.  They are taken in canonical order,
@@ -137,7 +143,9 @@ def minimize_generators(gens):
     products of them, so each degree needs one exact echelon: it starts from
     the products of the kept lower-degree generators and takes in each kept
     generator of degree d.  The kept generators are returned in input order.
+    The products and row subtractions draw from the budget.
     """
+    budget = _as_budget(budget)
     if any(len({sum(m) for m in g.terms}) > 1 for g in gens):
         raise InputError("minimize_generators needs homogeneous generators")
     order = sorted(
@@ -150,21 +158,23 @@ def minimize_generators(gens):
         if d != degree:
             degree, echelon = d, []
             products = []
-            _degree_products([gens[k] for k in kept], 0, d, gens[i].ring.one, products)
+            _degree_products([gens[k] for k in kept], 0, d, gens[i].ring.one,
+                             products, budget)
             for p in products:
-                _in_span_graded(p.terms, echelon)
-        if not _in_span_graded(gens[i].terms, echelon):
+                _in_span_graded(p.terms, echelon, budget)
+        if not _in_span_graded(gens[i].terms, echelon, budget):
             kept.append(i)
     return [gens[i] for i in sorted(kept)]
 
 
-def _echelon_reduce(vec, echelon):
+def _echelon_reduce(vec, echelon, budget):
     """Reduce a monomial->coefficient dict against pivoted rows in place."""
     vec = dict(vec)
     for pivot, row in echelon:
         c = vec.get(pivot)
         if c is None:
             continue
+        _spend(budget)
         for m, rc in row.items():
             cur = vec.get(m)
             nxt = -(c * rc) if cur is None else cur - c * rc
@@ -175,10 +185,10 @@ def _echelon_reduce(vec, echelon):
     return vec
 
 
-def _in_span_graded(vec, echelon):
+def _in_span_graded(vec, echelon, budget):
     """Is the monomial->coefficient dict in the span of the echelon rows?
     If not, its reduced form joins them as a new monic row.  Exact."""
-    vec = _echelon_reduce(vec, echelon)
+    vec = _echelon_reduce(vec, echelon, budget)
     if not vec:
         return True
     pivot = max(vec)
@@ -188,9 +198,9 @@ def _in_span_graded(vec, echelon):
     return False
 
 
-def _degree_products(gens, start, remaining, acc, out):
+def _degree_products(gens, start, remaining, acc, out, budget):
     """All products of gens[start:] (with repetition) of total degree
-    `remaining`, times the accumulated factor."""
+    `remaining`, times the accumulated factor; each product spends a step."""
     if remaining == 0:
         if acc.total_degree() > 0:
             out.append(acc)
@@ -198,4 +208,5 @@ def _degree_products(gens, start, remaining, acc, out):
     for k in range(start, len(gens)):
         dg = gens[k].total_degree()
         if 0 < dg <= remaining:
-            _degree_products(gens, k, remaining - dg, acc * gens[k], out)
+            _spend(budget)
+            _degree_products(gens, k, remaining - dg, acc * gens[k], out, budget)

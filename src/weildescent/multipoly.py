@@ -268,12 +268,6 @@ class MultiPoly:
             return self.ring.zero
         return MultiPoly(self.ring, {m: x * c for m, x in self.terms.items()})
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        _, lc = self.leading_term()
-        return self.scale(lc.inverse())
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, NumberFieldElement)):
             other = self.ring.constant(other)

@@ -183,6 +183,18 @@ def _parse_components(entries, ring, where):
     return [(c[0], c[1] if len(c) == 2 else ring.one) for c in comps]
 
 
+def _variable_names(entries, gen_name, where):
+    """The names declared by `where`'s variables line: at least one, each a
+    valid name other than the field generator's."""
+    names = _split_values(_single(entries, "variables"))
+    if not names:
+        raise InputError(f"{where} must declare its variables")
+    for v in names:
+        if not _NAME_RE.fullmatch(v) or v == gen_name:
+            raise InputError(f"invalid variable name {v!r} in {where}")
+    return names
+
+
 def _check_keys(entries, known, where):
     for key, _, lineno in entries:
         if key not in known:
@@ -238,12 +250,7 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
 
     if "variety" not in by_name:
         raise InputError("missing [variety] section")
-    var_names = _split_values(_single(by_name["variety"], "variables"))
-    if not var_names:
-        raise InputError("the [variety] section must declare variables")
-    for v in var_names:
-        if not _NAME_RE.fullmatch(v) or v == gen_name:
-            raise InputError(f"invalid variable name {v!r}")
+    var_names = _variable_names(by_name["variety"], gen_name, "[variety]")
     options = _parse_options(by_name.get("options", []))
     order_name = order or options.get("order", "grevlex")
     budget = _as_budget(budget if budget is not None else options.get("budget"))
@@ -314,10 +321,8 @@ def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
     if "map" not in by_name:
         raise InputError("claimed document misses the [map] section")
     _check_keys(by_name["Y"], ("variables", "equation"), "[Y]")
-    y_vars = _split_values(_single(by_name["Y"], "variables"))
-    if not y_vars:
-        raise InputError("[Y] must declare its variables")
     field = problem.field
+    y_vars = _variable_names(by_name["Y"], field.gen_name, "[Y]")
     y_ring = PolyRing(field, tuple(y_vars))
     y_gens = [
         parse_poly(value, y_ring)

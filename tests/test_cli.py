@@ -9,23 +9,36 @@ import pytest
 import weildescent as wd
 from weildescent import cli
 from weildescent.cli import main
+from weildescent.kernel import DEFAULT_BUDGET
 from weildescent.problemfile import load_problem
-from tests.conftest import fixture_path, read_fixture
+from tests.conftest import FIXTURES, fixture_path, read_fixture
 
 
 # Committed `descend` documents, <stem>_result.txt, each with the problem
 # file and flags that write it.  Pruned: a non-integral minimal polynomial,
-# and a datum with a denominator.  Unpruned: Y read straight off the graph
-# basis, in every invariant coordinate.
+# a datum with a denominator, and points over the cyclic cubic field whose
+# conjugates meet.  Unpruned: Y read straight off the graph basis, in every
+# invariant coordinate.
 DOCUMENTED_FIXTURES = {
     "conic_half": ("conic_half", ["--prune"]),
     "twisted_conic": ("twisted_conic", ["--prune"]),
+    "cubic_origin": ("cubic_origin", ["--prune"]),
+    "cubic_origin_unpruned": ("cubic_origin", []),
     "conic_unpruned": ("conic", []),
     "humbert_unpruned": ("humbert", []),
     "twisted_conic_unpruned": ("twisted_conic", []),
     "twisted_conic_lex": ("twisted_conic", ["--prune", "--order", "lex"]),
     "twisted_conic_lex_unpruned": ("twisted_conic", ["--order", "lex"]),
 }
+
+
+def test_every_result_document_is_pinned():
+    stems = {
+        name[: -len("_result.txt")]
+        for name in os.listdir(FIXTURES)
+        if name.endswith("_result.txt")
+    }
+    assert stems <= set(DOCUMENTED_FIXTURES)
 
 
 def run(capsys, *argv):
@@ -180,15 +193,14 @@ class TestDescend:
         assert code == 3
         assert "resource limit" in err
 
-    def test_budget_covers_loading(self, kernel_steps, capsys):
-        # The run's count includes the unit-ideal check made while loading.
+    def test_budget_covers_loading(self, capsys):
+        # The run's count includes the unit-ideal check made while loading:
+        # the command loads, then descends on the same budget list.
         path = fixture_path("humbert.txt")
-        code, _, _ = run(capsys, "descend", path, "--prune")
-        assert code == 0
-        total = kernel_steps[0]
-        kernel_steps[0] = 0
-        load_problem(path)
-        assert kernel_steps[0] > 0
+        problem = load_problem(path, budget=DEFAULT_BUDGET)
+        assert problem.budget[0] < DEFAULT_BUDGET
+        wd.descend(problem.datum, budget=problem.budget, prune=True)
+        total = DEFAULT_BUDGET - problem.budget[0]
         code, _, _ = run(capsys, "descend", path, "--prune", "--budget", str(total))
         assert code == 0
         code, _, err = run(
@@ -431,6 +443,18 @@ class TestCheckModel:
         assert code == 2
         assert out == ""
         assert "unknown key 'equaton' in [Y]" in err
+
+    @pytest.mark.parametrize("name", ["i", "t-4"])
+    def test_bad_variable_name_in_y_exit_two(self, name, tmp_path, capsys):
+        # Named like the generator, t4 would parse as i in every equation.
+        bad = tmp_path / "claimed.txt"
+        bad.write_text(read_fixture("conic_unpruned_result.txt").replace("t4", name))
+        code, out, err = run(
+            capsys, "check-model", fixture_path("conic.txt"), "--claimed", str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"invalid variable name {name!r} in [Y]" in err
 
     def test_unknown_section_in_claimed_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "claimed.txt"

@@ -5,8 +5,31 @@ import pytest
 
 import weildescent as wd
 from tests.conftest import humbert_datum, read_fixture
-from weildescent.descent import _sigma_stable
+from weildescent import descent
+from weildescent.descent import _conjugates_disjoint, _sigma_stable
+from weildescent.kernel import DEFAULT_BUDGET
 from weildescent.problemfile import load_problem_text
+
+
+# The points 0 and a over the splitting field of x^3 - 2 (group S3), with
+# a = 2^(1/3) + (-1 + sqrt(-3))/2 and f_sigma(x) = sigma(a)/a * x.  All six
+# conjugates meet at 0.
+_S3_IMAGES = [
+    "a",
+    "3 + a - 4/3*a^2 + 4/3*a^3 + 2/3*a^4 + 4/9*a^5",
+    "2 + 4/3*a^3 + 2/3*a^4 + 1/3*a^5",
+    "-1 + 4/3*a^2 - 1/9*a^5",
+    "-2 - a - 2/3*a^2 - 2/3*a^3 - 1/3*a^4 - 1/9*a^5",
+    "-5 - a + 2/3*a^2 - 2*a^3 - a^4 - 5/9*a^5",
+]
+S3_ORIGIN_POINTS = "\n".join(
+    ["[field]", "minpoly = t^6 + 3*t^5 + 6*t^4 + 3*t^3 + 9*t + 9", "generator = a",
+     "[galois]"]
+    + [f"g{k} = {image}" for k, image in enumerate(_S3_IMAGES)]
+    + ["[variety]", "variables = x1", "equation = x1^2 - a*x1"]
+    + [line for k, image in enumerate(_S3_IMAGES[1:], 1) for line in (
+        f"[datum.g{k}]", f"component = ({image})*x1", "denominator = a")]
+)
 
 
 def p(text, ring):
@@ -162,6 +185,23 @@ class TestDisjointify:
         # The transported datum is still a valid datum.
         assert wd.verify_datum(dd).ok
 
+    @pytest.mark.parametrize("field", ["cubic", "zeta5"])
+    def test_adds_one_coordinate_for_any_group_order(self, field, request):
+        # The points 0 and a, with f_sigma(x) = sigma(a)/a * x: all the
+        # conjugates meet at 0.  One coordinate pinned to a separates them.
+        F = request.getfixturevalue(field)
+        group = request.getfixturevalue(f"{field}_group")
+        ring = wd.PolyRing(F, ("x1",))
+        x, a = ring.var("x1"), F.gen
+        X = wd.AffineVariety(ring, [x * x - x * ring.constant(a)])
+        maps = {s: wd.RationalMap(ring, [x * ring.constant(group.apply(s, a) / a)])
+                for s in group}
+        d = wd.DescentDatum(X, group, maps)
+        dd = wd.disjointify(d)
+        assert dd.variety.ring.nvars == 2
+        assert _conjugates_disjoint(dd.variety, group)
+        assert wd.verify_datum(dd).ok
+
     def test_already_disjoint_untouched(self, humbert):
         assert wd.disjointify(humbert) is humbert
 
@@ -266,6 +306,22 @@ class TestDescend:
         assert res.inverse is None
         assert res.certificates["inverse_recovered"] is False
 
+    def test_relation_checked_once_per_group_element(self, monkeypatch):
+        # twisted_conic is disjointified; R is checked on X, not also on the
+        # working model.
+        d = load_problem_text(read_fixture("twisted_conic.txt")).datum
+        calls = []
+        relation = descent._relation
+
+        def counted(R, datum, s, budget):
+            calls.append(s)
+            return relation(R, datum, s, budget)
+
+        monkeypatch.setattr(descent, "_relation", counted)
+        res = wd.descend(d)
+        assert all(res.certificates.values())
+        assert sorted(calls) == list(d.group)
+
     def test_determinism(self, humbert):
         a = wd.descend(humbert, prune=True)
         b = wd.descend(humbert, prune=True)
@@ -275,35 +331,47 @@ class TestDescend:
 
 
 class TestRunBudget:
-    """The budget caps the reduction steps of a whole run, not of each call."""
+    """The budget caps the steps of a whole run, not of each call."""
+
+    @staticmethod
+    def spent(prune, limit=DEFAULT_BUDGET):
+        """The drop in the run's budget list over one Humbert descent.
+
+        A fresh datum each time, so no basis is cached from a prior run.
+        """
+        budget = [limit]
+        wd.descend(humbert_datum(), prune=prune, budget=budget)
+        return limit - budget[0]
 
     @pytest.mark.parametrize("prune", [False, True])
-    def test_total_steps_within_budget(self, kernel_steps, prune):
-        spent = kernel_steps
-
-        def run(budget=None):
-            # A fresh datum each time, so no basis is cached from a prior run.
-            d = humbert_datum()
-            spent[0] = 0
-            wd.descend(d, prune=prune, budget=budget)
-            return spent[0]
-
-        total = run()
-        assert run(budget=total) == total
+    def test_total_steps_within_budget(self, prune):
+        total = self.spent(prune)
+        assert self.spent(prune, total) == total
+        budget = [total - 1]
         with pytest.raises(wd.ResourceLimit):
-            run(budget=total - 1)
+            wd.descend(humbert_datum(), prune=prune, budget=budget)
         # total - 1 steps ran; the last decrement is the refused step.
-        assert spent[0] == total
+        assert budget == [-1]
+
+    def test_invariants_draw_from_the_run(self, kernel_steps):
+        # The orbit sums and the echelon spend steps beyond the kernel's.
+        assert self.spent(False) > kernel_steps[0] > 0
 
     def test_largest_single_call_is_not_enough(self, kernel_call_steps):
         # The steps of the largest single kernel call of a pruned Humbert
         # run cover that call but not the run; the run's total covers it.
-        wd.descend(humbert_datum(), prune=True)
-        largest, total = max(kernel_call_steps), sum(kernel_call_steps)
+        total = self.spent(True)
+        largest = max(kernel_call_steps)
         assert largest < total
         with pytest.raises(wd.ResourceLimit):
             wd.descend(humbert_datum(), prune=True, budget=largest)
         wd.descend(humbert_datum(), prune=True, budget=total)
+
+    def test_budget_stops_invariant_generation(self):
+        # Disjointified, the S3 points have 12 block variables: their orbit
+        # sums and echelon run for minutes unless the budget stops them.
+        with pytest.raises(wd.ResourceLimit, match="budget exceeded"):
+            wd.descend(load_problem_text(S3_ORIGIN_POINTS).datum, budget=2000)
 
 
 class TestMorphismDescent:

@@ -51,6 +51,20 @@ class TestGenerate:
         assert {d: degs.count(d) for d in set(degs)} == counts
         assert all(act.is_invariant(E) for E in gens)
 
+    def test_draws_from_the_budget(self, cubic, cubic_group):
+        # Every orbit sum, product and echelon row subtraction spends a step,
+        # so a list one step short of a whole run stops it.
+        act = action_for(cubic_group, 2, cubic)
+        budget = [10**6]
+        gens = wd.generate_invariants(act, budget)
+        spent = 10**6 - budget[0]
+        assert spent > len(gens)
+        budget = [spent - 1]
+        with pytest.raises(wd.ResourceLimit):
+            wd.generate_invariants(act, budget)
+        assert budget == [-1]
+        assert wd.generate_invariants(act, [spent]) == gens
+
 
 class TestMinimize:
     def test_power_sum_dropped(self, qi, qi_group):
