@@ -29,6 +29,7 @@ from .groebner import (
     _block_basis,
     _denominator_product,
     _fresh_name,
+    _generated_by,
     _graph_basis,
     _second_block,
     ideals_equal,
@@ -619,23 +620,56 @@ def _inverse_from_graph(gb, split, n, I_Y: Ideal, budget=None):
 def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
     """Drop target coordinates expressible in the remaining ones.
 
-    Highest-index coordinates are tried first; a coordinate t_j is dropped
-    only when the ideal contains t_j - p(remaining kept coordinates).
+    Coordinates are tested from the highest index down; t_j is dropped when
+    the ideal left contains t_j - p(the other coordinates left), and the
+    last coordinate left is never tested.
+
+    One basis answers every test up to the first kept coordinate.  Its ring
+    holds t_n, ..., t_1 in test order under MonomialOrder "nested", lex on
+    the candidates t_n, ..., t_2, so it eliminates each prefix of them at
+    once.  While the prefix before t_j has been dropped, the basis elements
+    free of that prefix generate the ideal left, and it contains
+    t_j - p(rest) exactly when one of them has lead t_j; lex puts every
+    monomial that involves the prefix above t_j, so any element with lead
+    t_j is free of it.  If every candidate drops, the elements left are the
+    reduced grevlex basis of the ideal of t_1.  Otherwise their reduced
+    grevlex basis becomes the generators of the ideal left, and each
+    candidate after the kept one gets a block basis of its own.
     """
     names = y_ideal.ring.variables
-    current = y_ideal
-    dropped = []
-    for name in reversed(names):
+    test_order = names[::-1]
+    split = len(names) - 1
+    if not split:
+        return y_ideal, R, ()
+    ring = PolyRing(y_ideal.ring.field, test_order, MonomialOrder("nested", split=split))
+    moved = Ideal(ring, [g.transplant(ring) for g in y_ideal.generators])
+    gb = moved.groebner_basis(budget=budget)
+    leads = {lead for lead, _ in gb.divisors}
+    j = 0
+    while j < split and (0,) * j + (1,) + (0,) * (len(names) - j - 1) in leads:
+        j += 1
+    dropped = list(test_order[:j])
+    if j == split:
+        current = _second_block(gb, split)
+    elif j == 0:
+        current = y_ideal
+    else:
+        left = PolyRing(ring.field, [v for v in names if v not in dropped])
+        current = _generated_by(Ideal(left, [
+            g.transplant(left) for (lead, _), g in zip(gb.divisors, gb.elements)
+            if not any(lead[:j])
+        ]).groebner_basis(budget=budget))
+
+    # t_j first in a block order: an element with lead exactly t_j is
+    # t_j - p(rest), and the elements free of t_j generate the ideal left.
+    for name in test_order[j + 1:]:
         if current.ring.nvars == 1:
             break
-        gb, _ = _block_basis(current, {name}, budget)
-        # With t_j first, an element with lead exactly t_j is t_j - p(rest).
+        block, _ = _block_basis(current, {name}, budget)
         t_j = (1,) + (0,) * (current.ring.nvars - 1)
-        if any(lead == t_j for lead, _ in gb.divisors):
+        if any(lead == t_j for lead, _ in block.divisors):
             dropped.append(name)
-            # This block basis eliminates t_j: its elements free of t_j
-            # generate the ideal of the kept coordinates.
-            current = _second_block(gb, 1)
+            current = _second_block(block, 1)
     kept = set(current.ring.variables)
     comps = [c for v, c in zip(names, R.components) if v in kept]
     R2 = RationalMap(R.ring, comps, normalize=False)

@@ -25,7 +25,13 @@ __all__ = [
 
 
 class Ideal:
-    __slots__ = ("ring", "generators", "_gb_cache")
+    """An ideal of a polynomial ring, given by generators.
+
+    It keeps its reduced bases, one per order, and its saturations, one per
+    polynomial saturated by, so each is computed once.
+    """
+
+    __slots__ = ("ring", "generators", "_gb_cache", "_sat_cache")
 
     def __init__(self, ring: PolyRing, generators):
         gens = []
@@ -37,6 +43,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb_cache = {}
+        self._sat_cache = {}
 
     def __repr__(self):
         return f"Ideal<{', '.join(str(g) for g in self.generators)}>"
@@ -134,7 +141,8 @@ def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
 
 
 def _second_block(gb: GroebnerBasis, split) -> Ideal:
-    """The elimination ideal of the first `split` variables of a block-order basis.
+    """The elimination ideal of the first `split` variables of a block-order
+    (or nested-order) basis with that split.
 
     The basis elements free of those variables are its reduced grevlex basis
     (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, Ch. 3 Sec. 1).
@@ -147,8 +155,13 @@ def _second_block(gb: GroebnerBasis, split) -> Ideal:
         for lead, terms in gb.divisors
         if not any(lead[:split])
     ])
-    ideal = Ideal(ring, basis.elements)
-    ideal._gb_cache[ring.order] = basis
+    return _generated_by(basis)
+
+
+def _generated_by(basis: GroebnerBasis) -> Ideal:
+    """The ideal that a reduced basis generates, with that basis cached."""
+    ideal = Ideal(basis.ring, basis.elements)
+    ideal._gb_cache[basis.ring.order] = basis
     return ideal
 
 
@@ -160,19 +173,26 @@ def _fresh_name(name, taken):
 
 
 def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
-    """I : h^infinity: the auxiliary variable t eliminated from I + <1 - t*h>."""
+    """I : h^infinity: the auxiliary variable t eliminated from I + <1 - t*h>.
+
+    I keeps the result, keyed on h, so saturating by h again is free.
+    """
     if h.is_zero():
         raise InputError("cannot saturate by the zero polynomial")
+    sat = I._sat_cache.get(h)
+    if sat is not None:
+        return sat
     ring = I.ring
     aux = _fresh_name("_sat", set(ring.variables))
     big = PolyRing(ring.field, (aux,) + ring.variables)
     gens = [g.transplant(big) for g in I.generators]
     gens.append(big.one - big.var(aux) * h.transplant(big))
     sat = eliminate(Ideal(big, gens), [aux], budget)
-    if sat.ring == ring:
-        return sat
-    # A lex caller gets the generators back in its own ring.
-    return Ideal(ring, [g.transplant(ring) for g in sat.generators])
+    if sat.ring != ring:
+        # A lex caller gets the generators back in its own ring.
+        sat = Ideal(ring, [g.transplant(ring) for g in sat.generators])
+    I._sat_cache[h] = sat
+    return sat
 
 
 def _denominator_product(maps):

@@ -17,6 +17,24 @@ def read_fixture(name):
         return fh.read()
 
 
+# Committed `descend` documents, <stem>_result.txt, each with the problem
+# file and flags that write it.  Pruned: a non-integral minimal polynomial,
+# a datum with a denominator, and points over the cyclic cubic field whose
+# conjugates meet.  Unpruned: Y read straight off the graph basis, in every
+# invariant coordinate.
+DOCUMENTED_FIXTURES = {
+    "conic_half": ("conic_half", ["--prune"]),
+    "twisted_conic": ("twisted_conic", ["--prune"]),
+    "cubic_origin": ("cubic_origin", ["--prune"]),
+    "cubic_origin_unpruned": ("cubic_origin", []),
+    "conic_unpruned": ("conic", []),
+    "humbert_unpruned": ("humbert", []),
+    "twisted_conic_unpruned": ("twisted_conic", []),
+    "twisted_conic_lex": ("twisted_conic", ["--prune", "--order", "lex"]),
+    "twisted_conic_lex_unpruned": ("twisted_conic", ["--order", "lex"]),
+}
+
+
 @pytest.fixture(scope="session")
 def qi():
     """Q(i), minimal polynomial t^2 + 1."""

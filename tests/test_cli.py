@@ -11,25 +11,7 @@ from weildescent import cli
 from weildescent.cli import main
 from weildescent.kernel import DEFAULT_BUDGET
 from weildescent.problemfile import load_problem
-from tests.conftest import FIXTURES, fixture_path, read_fixture
-
-
-# Committed `descend` documents, <stem>_result.txt, each with the problem
-# file and flags that write it.  Pruned: a non-integral minimal polynomial,
-# a datum with a denominator, and points over the cyclic cubic field whose
-# conjugates meet.  Unpruned: Y read straight off the graph basis, in every
-# invariant coordinate.
-DOCUMENTED_FIXTURES = {
-    "conic_half": ("conic_half", ["--prune"]),
-    "twisted_conic": ("twisted_conic", ["--prune"]),
-    "cubic_origin": ("cubic_origin", ["--prune"]),
-    "cubic_origin_unpruned": ("cubic_origin", []),
-    "conic_unpruned": ("conic", []),
-    "humbert_unpruned": ("humbert", []),
-    "twisted_conic_unpruned": ("twisted_conic", []),
-    "twisted_conic_lex": ("twisted_conic", ["--prune", "--order", "lex"]),
-    "twisted_conic_lex_unpruned": ("twisted_conic", ["--order", "lex"]),
-}
+from tests.conftest import DOCUMENTED_FIXTURES, FIXTURES, fixture_path, read_fixture
 
 
 def test_every_result_document_is_pinned():

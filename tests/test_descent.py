@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import weildescent as wd
-from tests.conftest import humbert_datum, read_fixture
+from tests.conftest import DOCUMENTED_FIXTURES, humbert_datum, read_fixture
 from weildescent import descent
 from weildescent.descent import _conjugates_disjoint, _sigma_stable
 from weildescent.kernel import DEFAULT_BUDGET
@@ -30,6 +30,60 @@ S3_ORIGIN_POINTS = "\n".join(
     + [line for k, image in enumerate(_S3_IMAGES[1:], 1) for line in (
         f"[datum.g{k}]", f"component = ({image})*x1", "denominator = a")]
 )
+
+
+# The Q(i) space curve that perfbench's quadratic-prune workload generates
+# at seed 1.
+QUADRATIC_PRUNE_CURVE = """\
+[field]
+minpoly = t^2 + 1
+generator = i
+
+[galois]
+e = i
+conj = -i
+
+[variety]
+variables = x1, x2, x3
+equation = (-1/2*i)*x1^2 + 2*x2^2 + (-3/5 - 6/5*i)*x3 - 3
+equation = (-1/2 + 1/2*i)*x1*x2 + (-3/25 + 4/25*i)*x3^2 + (-3/2 + 3/2*i)*x1 + 2
+
+[datum.conj]
+component = (-i)*x1
+component = x2
+component = (-3/5 + 4/5*i)*x3
+"""
+
+# A point over Q(i) whose model is one rational point: pruning drops every
+# coordinate but t1.
+CONJUGATE_POINT = """\
+[field]
+minpoly = t^2 + 1
+generator = i
+
+[galois]
+e = i
+conj = -i
+
+[variety]
+variables = x1, x2
+equation = x1 - i
+equation = x2 - 1 - i
+
+[datum.conj]
+component = -x1
+component = x2 - 2*x1
+"""
+
+PRUNE_TEXTS = {"curve-Qi": QUADRATIC_PRUNE_CURVE, "point-Qi": CONJUGATE_POINT}
+
+# Each problem file that a committed document is written from, in the ring
+# order it is written in, and the texts above: pruning is checked on each.
+PRUNE_ORACLE_CASES = sorted(
+    {(name, "lex" if "lex" in flags else None)
+     for name, flags in DOCUMENTED_FIXTURES.values()},
+    key=lambda case: (case[0], case[1] or ""),
+) + [(name, None) for name in PRUNE_TEXTS]
 
 
 def p(text, ring):
@@ -486,7 +540,9 @@ class TestBasisReuse:
 
     @pytest.mark.parametrize("prune", [False, True])
     @pytest.mark.parametrize(
-        "name", ["conic", "humbert", "stable", "trivial", "circle_swap"]
+        "name",
+        ["conic", "conic_half", "humbert", "stable", "trivial", "twisted_conic",
+         "cubic_origin", "circle_swap"],
     )
     def test_no_basis_computed_twice(self, monkeypatch, qi, qi_group, name, prune):
         if name == "circle_swap":
@@ -509,18 +565,25 @@ class TestBasisReuse:
         repeated = [key[:2] for key in set(seen) if seen.count(key) > 1]
         assert not repeated
 
-    def test_pruned_y_matches_elimination_path(self, humbert):
-        """Pruning that eliminates each dropped t_j with eliminate() gives
-        the same generators as reusing the expressibility basis."""
-        y = wd.descend(humbert).y_ideal
+    @pytest.mark.parametrize("name, order", PRUNE_ORACLE_CASES, ids=[
+        name if order is None else f"{name}-{order}"
+        for name, order in PRUNE_ORACLE_CASES
+    ])
+    def test_pruned_y_matches_elimination_path(self, name, order):
+        """Pruning with one block basis and eliminate() per tested t_j drops
+        the same coordinates and gives the same Y as descend's pruning."""
+        text = PRUNE_TEXTS.get(name) or read_fixture(f"{name}.txt")
+        datum = load_problem_text(text, order=order).datum
+        y = wd.descend(datum).y_ideal
         current = y
-        for name in reversed(y.ring.variables):
+        dropped = []
+        for tname in reversed(y.ring.variables):
             kept = current.ring.variables
             if len(kept) == 1:
                 break
             reordered = wd.PolyRing(
                 y.ring.field,
-                (name,) + tuple(v for v in kept if v != name),
+                (tname,) + tuple(v for v in kept if v != tname),
                 wd.MonomialOrder("block", split=1),
             )
             moved = wd.Ideal(
@@ -534,12 +597,24 @@ class TestBasisReuse:
                 and all(m[0] == 0 for m in g.terms if m != lead)
                 for g in gb.elements
             ):
-                current = wd.eliminate(current, [name])
-        res = wd.descend(humbert, prune=True)
+                dropped.append(tname)
+                current = wd.eliminate(current, [tname])
+        res = wd.descend(datum, prune=True)
+        assert res.pruned == tuple(dropped)
         assert res.y_ring == current.ring
         assert [g.terms for g in res.y_generators] == [
             g.terms for g in current.generators
         ]
+
+    @pytest.mark.parametrize("name, pruned", [
+        # t3 and t2 are kept, so t1 is tested by the loop after them.
+        ("curve-Qi", ("t9", "t8", "t7", "t6", "t5", "t4", "t1")),
+        # Every candidate drops, so no coordinate is tested after the basis.
+        ("point-Qi", ("t5", "t4", "t3", "t2")),
+    ], ids=["curve-Qi", "point-Qi"])
+    def test_pruning_reaches_each_case(self, name, pruned):
+        res = wd.descend(load_problem_text(PRUNE_TEXTS[name]).datum, prune=True)
+        assert res.pruned == pruned
 
 
 class TestSigmaStable:
