@@ -624,24 +624,24 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
     the ideal left contains t_j - p(the other coordinates left), and the
     last coordinate left is never tested.
 
-    One basis answers every test up to the first kept coordinate.  Its ring
-    holds t_n, ..., t_1 in test order under MonomialOrder "nested", lex on
-    the candidates t_n, ..., t_2, so it eliminates each prefix of them at
-    once.  While the prefix before t_j has been dropped, the basis elements
-    free of that prefix generate the ideal left, and it contains
-    t_j - p(rest) exactly when one of them has lead t_j; lex puts every
-    monomial that involves the prefix above t_j, so any element with lead
-    t_j is free of it.  If every candidate drops, the elements left are the
-    reduced grevlex basis of the ideal of t_1.  Otherwise their reduced
-    grevlex basis becomes the generators of the ideal left, and each
-    candidate after the kept one gets a block basis of its own.
+    One lex basis answers every test up to the first kept coordinate.  Its
+    ring holds t_n, ..., t_1 in test order, and lex eliminates every prefix
+    of them at once (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, Ch. 3 Sec. 1).  While the prefix before t_j has been
+    dropped, the basis elements free of that prefix generate the ideal
+    left, and it contains t_j - p(rest) exactly when one of them has lead
+    t_j; lex puts every monomial that involves the prefix above t_j, so any
+    element with lead t_j is free of it.  If every candidate drops, the
+    elements left are the reduced basis of the ideal of t_1.  Otherwise
+    their reduced grevlex basis becomes the generators of the ideal left,
+    and each candidate after the kept one gets a block basis of its own.
     """
     names = y_ideal.ring.variables
     test_order = names[::-1]
     split = len(names) - 1
     if not split:
         return y_ideal, R, ()
-    ring = PolyRing(y_ideal.ring.field, test_order, MonomialOrder("nested", split=split))
+    ring = PolyRing(y_ideal.ring.field, test_order, MonomialOrder("lex"))
     moved = Ideal(ring, [g.transplant(ring) for g in y_ideal.generators])
     gb = moved.groebner_basis(budget=budget)
     leads = {lead for lead, _ in gb.divisors}

@@ -25,37 +25,29 @@ __all__ = [
 
 
 class MonomialOrder:
-    """lex, grevlex, or an elimination order split after the first k variables.
+    """lex, grevlex, or a two-block elimination order (grevlex in each block).
 
-    A block order with split k is grevlex in each of two blocks: any
-    monomial involving the first k ring variables is larger than any
-    monomial free of them, so it eliminates those k at once.  A nested
-    order with split k is lex on the first k variables and grevlex on the
-    rest: it eliminates every prefix of the first k variables, so one basis
-    holds the elimination ideal of each prefix (Cox, Little & O'Shea,
-    Ideals, Varieties, and Algorithms, Ch. 3 Sec. 1).
+    A block order with split k eliminates the first k ring variables: any
+    monomial involving them is larger than any monomial free of them.
     """
 
     __slots__ = ("kind", "split", "key")
 
     def __init__(self, kind="grevlex", split=None):
-        if kind not in ("lex", "grevlex", "block", "nested"):
+        if kind not in ("lex", "grevlex", "block"):
             raise InputError(f"unknown monomial order {kind!r}")
-        if (kind in ("block", "nested")) != (split is not None):
-            raise InputError(
-                "block and nested orders need a split point; others must not have one"
-            )
+        if (kind == "block") != (split is not None):
+            raise InputError("block orders need a split point; others must not have one")
         self.kind = kind
         self.split = split
         # key(exps) is a tuple that sorts monomials ascending in this order;
         # keys add componentwise under monomial multiplication.  The block
-        # and nested keys are written out in full: they are the elimination
-        # hot loops.
+        # key is written out in full: it is the pruning hot loop.
         if kind == "lex":
             self.key = lambda e: e
         elif kind == "grevlex":
             self.key = lambda e: (sum(e),) + tuple(-x for x in reversed(e))
-        elif kind == "block":
+        else:
             def block_key(e, k=split):
                 hi, lo = e[:k], e[k:]
                 return (
@@ -63,11 +55,6 @@ class MonomialOrder:
                     + (sum(lo),) + tuple(-x for x in reversed(lo))
                 )
             self.key = block_key
-        else:
-            def nested_key(e, k=split):
-                lo = e[k:]
-                return e[:k] + (sum(lo),) + tuple(-x for x in reversed(lo))
-            self.key = nested_key
 
     def __eq__(self, other):
         return (
@@ -80,8 +67,8 @@ class MonomialOrder:
         return hash((self.kind, self.split))
 
     def __repr__(self):
-        if self.split is not None:
-            return f"MonomialOrder({self.kind!r}, split={self.split})"
+        if self.kind == "block":
+            return f"MonomialOrder('block', split={self.split})"
         return f"MonomialOrder({self.kind!r})"
 
 

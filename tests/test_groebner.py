@@ -319,44 +319,20 @@ class TestImageIdeal:
             wd.image_ideal(F, src, ("a",))
 
 
-class TestNestedOrder:
-    """Lex on the first `split` variables, grevlex on the rest."""
-
-    @pytest.mark.parametrize("kind, split", [
-        ("nested", None), ("grevlex", 2), ("lex", 1), ("nested-lex", 2),
-    ])
-    def test_split_required_exactly_for_split_kinds(self, kind, split):
-        with pytest.raises(wd.InputError):
-            wd.MonomialOrder(kind, split=split)
-
-    def test_distinct_from_block_with_same_split(self):
-        nested, block = wd.MonomialOrder("nested", split=2), wd.MonomialOrder("block", split=2)
-        assert nested != block
-        assert hash(nested) != hash(block)
-        assert repr(nested) == "MonomialOrder('nested', split=2)"
-        assert repr(nested) != repr(block)
-        assert nested == wd.MonomialOrder("nested", split=2)
-        assert nested != wd.MonomialOrder("nested", split=1)
-
-    def test_key_orders_lex_then_grevlex(self):
-        key = wd.MonomialOrder("nested", split=1).key
-        # x beats any power of y, z; on the rest, grevlex.
-        assert key((1, 0, 0)) > key((0, 5, 5))
-        assert key((0, 2, 0)) > key((0, 1, 1)) > key((0, 0, 1))
-        assert key((1, 0, 2)) > key((1, 1, 0))
-
+class TestLexElimination:
     @pytest.mark.parametrize("gens", [
         ["y - x^2", "z - x^3", "w - x*y + z"],
         ["x^2 + y^2 - 1", "z*x - y", "w^2 - z - x"],
         ["x*y - z^2", "y*w - 2*x", "z^3 - w*x + 1"],
     ])
     def test_basis_eliminates_every_prefix(self, rational_field, gens):
+        """The elements of one lex basis that are free of the first j
+        variables generate the j-th elimination ideal, for every j."""
         names = ("x", "y", "z", "w")
-        split = 3
-        ring = wd.PolyRing(rational_field, names, wd.MonomialOrder("nested", split=split))
+        ring = wd.PolyRing(rational_field, names, wd.MonomialOrder("lex"))
         I = wd.Ideal(ring, [p(g, ring) for g in gens])
         gb = I.groebner_basis()
-        for j in range(split + 1):
+        for j in range(len(names)):
             expected = wd.eliminate(I, names[:j])
             rest = expected.ring
             free = [g.transplant(rest) for g in gb.elements
@@ -368,8 +344,8 @@ class TestKernels:
     @pytest.mark.parametrize(
         "order",
         [wd.MonomialOrder("lex"), wd.MonomialOrder("grevlex"),
-         wd.MonomialOrder("block", split=1), wd.MonomialOrder("nested", split=2)],
-        ids=["lex", "grevlex", "block", "nested"],
+         wd.MonomialOrder("block", split=1)],
+        ids=["lex", "grevlex", "block"],
     )
     def test_both_kernels_agree(self, qring, order):
         from weildescent import _pykernel
