@@ -26,7 +26,6 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     _as_budget,
-    _block_basis,
     _denominator_product,
     _fresh_name,
     _generated_by,
@@ -201,7 +200,7 @@ def _composed_normal_forms(gens, F: RationalMap, gb, budget):
     """
     nums, dens = F.numerators(), F.denominators()
     for P in gens:
-        num, _ = _substitute_fraction(P, nums, dens, F.ring)
+        num, _ = _substitute_fraction(P, nums, dens, F.ring, budget)
         yield normal_form(num, gb, budget)
 
 
@@ -624,56 +623,46 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
     the ideal left contains t_j - p(the other coordinates left), and the
     last coordinate left is never tested.
 
-    One lex basis answers every test up to the first kept coordinate.  Its
-    ring holds t_n, ..., t_1 in test order, and lex eliminates every prefix
-    of them at once (Cox, Little & O'Shea, Ideals, Varieties, and
-    Algorithms, Ch. 3 Sec. 1).  While the prefix before t_j has been
-    dropped, the basis elements free of that prefix generate the ideal
-    left, and it contains t_j - p(rest) exactly when one of them has lead
-    t_j; lex puts every monomial that involves the prefix above t_j, so any
-    element with lead t_j is free of it.  If every candidate drops, the
-    elements left are the reduced basis of the ideal of t_1.  Otherwise
-    their reduced grevlex basis becomes the generators of the ideal left,
-    and each candidate after the kept one gets a block basis of its own.
+    The answer depends on the ideal alone, so any lex ring with t_j first
+    among the coordinates left gives it (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 3 Sec. 1).  Each pass puts the untested
+    candidates first, in test order, and the kept coordinates after them.
+    Lex eliminates every prefix at once: while the prefix before t_j has
+    been dropped, the basis elements whose lead is free of it generate the
+    ideal left, and that ideal contains t_j - p(rest) exactly when one of
+    them has lead t_j.  The first candidate that fails is kept and moves
+    behind the untested ones for the next pass.  Y is then the reduced
+    grevlex basis of the last pass's generators, over the coordinates left.
     """
-    names = y_ideal.ring.variables
-    test_order = names[::-1]
-    split = len(names) - 1
-    if not split:
-        return y_ideal, R, ()
-    ring = PolyRing(y_ideal.ring.field, test_order, MonomialOrder("lex"))
-    moved = Ideal(ring, [g.transplant(ring) for g in y_ideal.generators])
-    gb = moved.groebner_basis(budget=budget)
-    leads = {lead for lead, _ in gb.divisors}
-    j = 0
-    while j < split and (0,) * j + (1,) + (0,) * (len(names) - j - 1) in leads:
-        j += 1
-    dropped = list(test_order[:j])
-    if j == split:
-        current = _second_block(gb, split)
-    elif j == 0:
-        current = y_ideal
-    else:
-        left = PolyRing(ring.field, [v for v in names if v not in dropped])
-        current = _generated_by(Ideal(left, [
-            g.transplant(left) for (lead, _), g in zip(gb.divisors, gb.elements)
-            if not any(lead[:j])
-        ]).groebner_basis(budget=budget))
-
-    # t_j first in a block order: an element with lead exactly t_j is
-    # t_j - p(rest), and the elements free of t_j generate the ideal left.
-    for name in test_order[j + 1:]:
-        if current.ring.nvars == 1:
+    field, coords = y_ideal.ring.field, y_ideal.ring.variables
+    untested = list(coords[::-1])
+    kept, dropped = [], []
+    gens = y_ideal.generators
+    while True:
+        names = untested + kept
+        limit = min(len(untested), len(names) - 1)
+        if not limit:
             break
-        block, _ = _block_basis(current, {name}, budget)
-        t_j = (1,) + (0,) * (current.ring.nvars - 1)
-        if any(lead == t_j for lead, _ in block.divisors):
-            dropped.append(name)
-            current = _second_block(block, 1)
-    kept = set(current.ring.variables)
-    comps = [c for v, c in zip(names, R.components) if v in kept]
-    R2 = RationalMap(R.ring, comps, normalize=False)
-    return current, R2, tuple(dropped)
+        ring = PolyRing(field, names, MonomialOrder("lex"))
+        moved = Ideal(ring, [g.transplant(ring) for g in gens])
+        gb = moved.groebner_basis(budget=budget)
+        leads = {lead for lead, _ in gb.divisors}
+        j = 0
+        while j < limit and (0,) * j + (1,) + (0,) * (len(names) - j - 1) in leads:
+            j += 1
+        dropped += untested[:j]
+        gens = [g for (lead, _), g in zip(gb.divisors, gb.elements) if not any(lead[:j])]
+        if j == limit:
+            break
+        kept.append(untested[j])
+        untested = untested[j + 1:]
+    if not dropped:
+        return y_ideal, R, ()
+    left = PolyRing(field, [v for v in coords if v not in dropped])
+    current = _generated_by(Ideal(left, [g.transplant(left) for g in gens])
+                            .groebner_basis(budget=budget))
+    comps = [c for v, c in zip(coords, R.components) if v not in dropped]
+    return current, RationalMap(R.ring, comps, normalize=False), tuple(dropped)
 
 
 # -- independent checking of a claimed model ----------------------------------------

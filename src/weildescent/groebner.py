@@ -142,7 +142,7 @@ def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
 
 def _second_block(gb: GroebnerBasis, split) -> Ideal:
     """The elimination ideal of the first `split` variables of a block-order
-    basis with that split, or of a lex basis.
+    basis with that split.
 
     The basis elements free of those variables are its reduced grevlex basis
     (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, Ch. 3 Sec. 1).

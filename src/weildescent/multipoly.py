@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import kernel
+from ._pykernel import _spend
 from .errors import InputError, ZeroDenominator
 from .numberfield import NumberField, NumberFieldElement
 
@@ -42,7 +43,8 @@ class MonomialOrder:
         self.split = split
         # key(exps) is a tuple that sorts monomials ascending in this order;
         # keys add componentwise under monomial multiplication.  The block
-        # key is written out in full: it is the pruning hot loop.
+        # key is written out in full: the graph basis, saturation and _lcm
+        # all run in block orders.
         if kind == "lex":
             self.key = lambda e: e
         elif kind == "grevlex":
@@ -502,10 +504,17 @@ def identity_map(ring: PolyRing) -> RationalMap:
     return RationalMap(ring, [(v, ring.one) for v in ring.gens()], normalize=False)
 
 
-def _substitute_fraction(P: MultiPoly, numerators, denominators, target: PolyRing):
-    """P(n1/d1, ..., nk/dk) as a (numerator, denominator) pair over target."""
+def _substitute_fraction(P: MultiPoly, numerators, denominators, target: PolyRing,
+                         budget=None):
+    """P(n1/d1, ..., nk/dk) as a (numerator, denominator) pair over target.
+
+    With a budget list, the powers of each numerator and denominator are
+    charged to it, one step each, before any is built.
+    """
     degs = [P.degree_in(i) for i in range(P.ring.nvars)]
     degs = [max(d, 0) for d in degs]
+    if budget is not None:
+        _spend(budget, 2 * sum(degs))
     num_pows = []
     den_pows = []
     for i in range(P.ring.nvars):

@@ -149,6 +149,18 @@ class TestVerifyDatum:
         assert code == 2
         assert "nested" in err
 
+    def test_huge_exponent_stops_on_budget(self, tmp_path, capsys):
+        # Substituting the datum into x1^1000000 needs a million powers of
+        # each component; the budget is charged for them before any is built.
+        text = read_fixture("conic.txt").replace(
+            "equation = x1^2 + x2^2 - i", "equation = x1^1000000 + x2^2 - i"
+        )
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify-datum", str(bad), "--budget", "1000")
+        assert code == 3
+        assert "resource limit" in err
+
 
 class TestDescend:
     def test_golden_fixture(self, capsys):

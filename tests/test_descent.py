@@ -83,13 +83,24 @@ PRUNE_TEXTS = {
     "point-Qi": (CONJUGATE_POINT, ("t5", "t4", "t3", "t2")),
 }
 
+# Y with one coordinate moved to last place, where it is tested first, and
+# the coordinates its pruning drops.  twisted_conic keeps t5 at once;
+# Humbert drops t4, t14 and t13, then keeps t12.
+PRUNE_MOVED_LAST = {
+    ("twisted_conic", "t5"): ("t9", "t8", "t7", "t6", "t4", "t2", "t1"),
+    ("humbert", "t4"): ("t4", "t14", "t13", "t11", "t10", "t9", "t8", "t7", "t6", "t5"),
+}
+
 # Each problem file that a committed document is written from, in the ring
-# order it is written in, and the texts above: pruning is checked on each.
+# order it is written in, the texts above and the moved Y: pruning is
+# checked on each.
 PRUNE_ORACLE_CASES = sorted(
-    {(name, "lex" if "lex" in flags else None)
+    {(name, "lex" if "lex" in flags else None, None)
      for name, flags in DOCUMENTED_FIXTURES.values()},
     key=lambda case: (case[0], case[1] or ""),
-) + [(name, None) for name in PRUNE_TEXTS]
+) + [(name, None, None) for name in PRUNE_TEXTS] + [
+    (name, None, last) for name, last in PRUNE_MOVED_LAST
+]
 
 
 def p(text, ring):
@@ -571,16 +582,25 @@ class TestBasisReuse:
         repeated = [key[:2] for key in set(seen) if seen.count(key) > 1]
         assert not repeated
 
-    @pytest.mark.parametrize("name, order", PRUNE_ORACLE_CASES, ids=[
-        name if order is None else f"{name}-{order}"
-        for name, order in PRUNE_ORACLE_CASES
+    @pytest.mark.parametrize("name, order, last", PRUNE_ORACLE_CASES, ids=[
+        "-".join(filter(None, (name, order, last and f"{last}_last")))
+        for name, order, last in PRUNE_ORACLE_CASES
     ])
-    def test_pruned_y_matches_elimination_path(self, name, order):
+    def test_pruned_y_matches_elimination_path(self, name, order, last):
         """Pruning with one block basis and eliminate() per tested t_j drops
-        the same coordinates and gives the same Y as descend's pruning."""
+        the same coordinates and gives the same Y as descend's pruning, or as
+        _prune_coordinates on Y with the coordinate `last` moved to last place."""
         text, expected = PRUNE_TEXTS.get(name, (None, None))
+        expected = PRUNE_MOVED_LAST.get((name, last), expected)
         datum = load_problem_text(text or read_fixture(f"{name}.txt"), order=order).datum
-        y = wd.descend(datum).y_ideal
+        res = wd.descend(datum)
+        y, R = res.y_ideal, res.map
+        if last is not None:
+            names = [v for v in y.ring.variables if v != last] + [last]
+            ring = wd.PolyRing(y.ring.field, names)
+            y = wd.Ideal(ring, [g.transplant(ring) for g in y.generators])
+            comps = dict(zip(res.y_ring.variables, R.components))
+            R = wd.RationalMap(R.ring, [comps[v] for v in names], normalize=False)
         current = y
         dropped = []
         for tname in reversed(y.ring.variables):
@@ -607,10 +627,14 @@ class TestBasisReuse:
                 current = wd.eliminate(current, [tname])
         if expected is not None:
             assert tuple(dropped) == expected
-        res = wd.descend(datum, prune=True)
-        assert res.pruned == tuple(dropped)
-        assert res.y_ring == current.ring
-        assert [g.terms for g in res.y_generators] == [
+        if last is None:
+            res = wd.descend(datum, prune=True)
+            pruned, y_pruned = res.pruned, res.y_ideal
+        else:
+            y_pruned, _, pruned = descent._prune_coordinates(y, R)
+        assert pruned == tuple(dropped)
+        assert y_pruned.ring == current.ring
+        assert [g.terms for g in y_pruned.generators] == [
             g.terms for g in current.generators
         ]
 
