@@ -15,17 +15,54 @@ terms) pairs.  weildescent.kernel re-exports the two entry points.
   monomial at most once, in a memo that lives only as long as that call.
 
 The budget is a single-element list of remaining reduction steps, decremented
-in place so one cap can span a whole pipeline; DEFAULT_BUDGET is the cap when
-none is given.
+in place so one cap can span a whole pipeline.  This module owns the run's
+list: each public entry point of the package opens _run(budget), which makes
+that list the active run's (one contextvars.ContextVar, PEP 567), and every
+step spent below it, in the kernel, the invariant echelon, substitutions and
+fraction normal forms, draws from it through _as_budget(None).  Outside any
+run, None means a fresh list of DEFAULT_BUDGET steps.
 """
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from operator import add, le, neg, sub
 
 from .errors import ResourceLimit
 
 IMPL = "python"
 DEFAULT_BUDGET = 10**6
+
+# The active run's one-element list of remaining steps, or None outside a run.
+_RUN_BUDGET = ContextVar("weildescent_run_budget", default=None)
+
+
+def _as_budget(budget):
+    """The one-element list of remaining steps that every kernel call draws from.
+
+    A list is used as given and an int becomes a fresh list.  None means the
+    active run's list, or a fresh DEFAULT_BUDGET list outside any run.
+    """
+    if budget is None:
+        budget = _RUN_BUDGET.get()
+        return [DEFAULT_BUDGET] if budget is None else budget
+    if isinstance(budget, list):
+        return budget
+    return [budget]
+
+
+@contextmanager
+def _run(budget=None):
+    """Make _as_budget(budget) the active run's list while the block runs.
+
+    A public entry point opens one around its work, so every step it spends,
+    in nested entry points and helpers too, draws from that one list.
+    """
+    token = _RUN_BUDGET.set(_as_budget(budget))
+    try:
+        yield
+    finally:
+        _RUN_BUDGET.reset(token)
 
 
 class _NegKeys(dict):

@@ -25,11 +25,12 @@ from .errors import (
 from .groebner import (
     Ideal,
     MonomialOrder,
-    _as_budget,
     _denominator_product,
     _fresh_name,
     _generated_by,
     _graph_basis,
+    _reduced_denominator,
+    _run,
     _second_block,
     ideals_equal,
     normal_form,
@@ -138,26 +139,25 @@ class DescentResult:
 # -- map equality on a variety ---------------------------------------------------
 
 
-def _equality_basis(ideal: Ideal, maps, budget=None):
+def _equality_basis(ideal: Ideal, maps):
     """Groebner basis of the ideal saturated by the maps' denominators."""
     prod = _denominator_product(maps)
     if prod is None:
-        return ideal.groebner_basis(budget=budget)
-    return saturate(ideal, prod, budget=budget).groebner_basis(budget=budget)
+        return ideal.groebner_basis()
+    return saturate(ideal, prod).groebner_basis()
 
 
-def _first_mismatch(f: RationalMap, g: RationalMap, ideal: Ideal, budget):
+def _first_mismatch(f: RationalMap, g: RationalMap, ideal: Ideal):
     """(index, nonzero normal form) of the first component where f and g differ
     on V(ideal), or None when they agree.  Both maps have the same arity.
 
     Denominators lying in the ideal raise ZeroDenominator.
     """
-    gb = _equality_basis(ideal, [f, g], budget)
+    gb = _equality_basis(ideal, [f, g])
     for k, ((nf_, df_), (ng_, dg_)) in enumerate(zip(f.components, g.components)):
         for den in (df_, dg_):
-            if not den.is_constant() and normal_form(den, gb, budget).is_zero():
-                raise ZeroDenominator("map denominator vanishes on the variety")
-        rem = normal_form(nf_ * dg_ - ng_ * df_, gb, budget)
+            _reduced_denominator(den, gb, "map denominator vanishes on the variety")
+        rem = normal_form(nf_ * dg_ - ng_ * df_, gb)
         if not rem.is_zero():
             return k, rem
     return None
@@ -171,28 +171,29 @@ def maps_equal_mod_ideal(f: RationalMap, g: RationalMap, ideal: Ideal, budget=No
     """
     if f.target_arity != g.target_arity:
         return False, None
-    mismatch = _first_mismatch(f, g, ideal, _as_budget(budget))
+    with _run(budget):
+        mismatch = _first_mismatch(f, g, ideal)
     if mismatch is None:
         return True, None
     return False, mismatch[1]
 
 
-def _relation(R: RationalMap, d: DescentDatum, s, budget):
+def _relation(R: RationalMap, d: DescentDatum, s):
     """R = R^sigma o f_sigma on X for the datum d: (equal, witness)."""
     rhs = compose_map(R.sigma(d.group, s), d.maps[s])
-    return maps_equal_mod_ideal(R, rhs, d.variety.ideal, budget)
+    return maps_equal_mod_ideal(R, rhs, d.variety.ideal)
 
 
-def _sigma_fixed(L: RationalMap, group, ideal: Ideal, budget):
+def _sigma_fixed(L: RationalMap, group, ideal: Ideal):
     """L^sigma = L on V(ideal) for every sigma: (True, None), or (False, witness)."""
     for s in group:
-        equal, witness = maps_equal_mod_ideal(L.sigma(group, s), L, ideal, budget)
+        equal, witness = maps_equal_mod_ideal(L.sigma(group, s), L, ideal)
         if not equal:
             return False, witness
     return True, None
 
 
-def _composed_normal_forms(gens, F: RationalMap, gb, budget):
+def _composed_normal_forms(gens, F: RationalMap, gb):
     """Normal forms modulo gb of the numerators of P(F), one per P in gens.
 
     Zero means P o F vanishes on V(gb) when gb is saturated by F's
@@ -200,23 +201,17 @@ def _composed_normal_forms(gens, F: RationalMap, gb, budget):
     """
     nums, dens = F.numerators(), F.denominators()
     for P in gens:
-        num, _ = _substitute_fraction(P, nums, dens, F.ring, budget)
-        yield normal_form(num, gb, budget)
+        num, _ = _substitute_fraction(P, nums, dens, F.ring)
+        yield normal_form(num, gb)
 
 
-def _reduce_map(F: RationalMap, gb, budget=None) -> RationalMap:
+def _reduce_map(F: RationalMap, gb) -> RationalMap:
     """Normal-form every component; equal to F as a map on the variety."""
-    comps = []
-    for num, den in F.components:
-        rn = normal_form(num, gb, budget)
-        if den.is_constant():
-            comps.append((rn, den))
-        else:
-            rd = normal_form(den, gb, budget)
-            if rd.is_zero():
-                raise ZeroDenominator("map denominator vanishes on the variety")
-            comps.append((rn, rd))
-    return RationalMap(F.ring, comps)
+    return RationalMap(F.ring, [
+        (normal_form(num, gb),
+         _reduced_denominator(den, gb, "map denominator vanishes on the variety"))
+        for num, den in F.components
+    ])
 
 
 # -- datum verification ------------------------------------------------------------
@@ -224,49 +219,48 @@ def _reduce_map(F: RationalMap, gb, budget=None) -> RationalMap:
 
 def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
     """Check f_sigma maps X into X^sigma and the cocycle identity for all pairs."""
-    budget = _as_budget(budget)
-    report = DatumReport()
-    group = d.group
-    X = d.variety
-    gb = _equality_basis(X.ideal, d.maps, budget)
+    with _run(budget):
+        report = DatumReport()
+        group = d.group
+        X = d.variety
+        gb = _equality_basis(X.ideal, d.maps)
 
-    for s in group:
-        f = d.maps[s]
-        for den in f.denominators():
-            if not den.is_constant() and normal_form(den, gb, budget).is_zero():
-                raise ZeroDenominator(
-                    f"denominator of the map for sigma_{s} vanishes on X"
+        for s in group:
+            f = d.maps[s]
+            for den in f.denominators():
+                _reduced_denominator(
+                    den, gb, f"denominator of the map for sigma_{s} vanishes on X"
                 )
-        conjugates = [P.sigma(group, s) for P in X.generators]
-        for gi, rem in enumerate(_composed_normal_forms(conjugates, f, gb, budget)):
-            ok = rem.is_zero()
-            report.add(f"into-conjugate sigma_{s} generator_{gi}", ok,
-                       None if ok else str(rem))
-            if not ok and strict:
-                raise NotIntoConjugate(s, gi, rem)
+            conjugates = [P.sigma(group, s) for P in X.generators]
+            for gi, rem in enumerate(_composed_normal_forms(conjugates, f, gb)):
+                ok = rem.is_zero()
+                report.add(f"into-conjugate sigma_{s} generator_{gi}", ok,
+                           None if ok else str(rem))
+                if not ok and strict:
+                    raise NotIntoConjugate(s, gi, rem)
 
-    for s1 in group:
-        for s2 in group:
-            lhs = d.maps[group.compose(s1, s2)]
-            rhs = compose_map(d.maps[s2].sigma(group, s1), d.maps[s1])
-            mismatch = _first_mismatch(lhs, rhs, X.ideal, budget)
-            report.add(f"cocycle ({s1}, {s2})", mismatch is None,
-                       None if mismatch is None else str(mismatch[1]))
-            if mismatch is not None and strict:
-                raise CocycleViolation(s1, s2, *mismatch)
-    return report
+        for s1 in group:
+            for s2 in group:
+                lhs = d.maps[group.compose(s1, s2)]
+                rhs = compose_map(d.maps[s2].sigma(group, s1), d.maps[s1])
+                mismatch = _first_mismatch(lhs, rhs, X.ideal)
+                report.add(f"cocycle ({s1}, {s2})", mismatch is None,
+                           None if mismatch is None else str(mismatch[1]))
+                if mismatch is not None and strict:
+                    raise CocycleViolation(s1, s2, *mismatch)
+        return report
 
 
 # -- disjointification ---------------------------------------------------------------
 
 
-def _conjugates_disjoint(X: AffineVariety, group, budget=None) -> bool:
+def _conjugates_disjoint(X: AffineVariety, group) -> bool:
     """Whether the conjugates of X are pairwise disjoint (each sum is the unit ideal)."""
     conj = [X.ideal.sigma(group, s) for s in group]
     for i in range(len(conj)):
         for j in range(i + 1, len(conj)):
             joint = Ideal(X.ring, list(conj[i].generators) + list(conj[j].generators))
-            if not joint.is_unit(budget=budget):
+            if not joint.is_unit():
                 return False
     return True
 
@@ -280,27 +274,27 @@ def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
     pairwise distinct, so the conjugates of the augmented model are too.
     Returns the input unchanged otherwise.
     """
-    budget = _as_budget(budget)
-    group = d.group
-    X = d.variety
-    if _conjugates_disjoint(X, group, budget):
-        return d
+    with _run(budget):
+        group = d.group
+        X = d.variety
+        if _conjugates_disjoint(X, group):
+            return d
 
-    ring = X.ring
-    pinned = _fresh_name(f"x{ring.nvars + 1}", ring.variables)
-    big = PolyRing(ring.field, ring.variables + (pinned,), ring.order)
-    alpha = ring.field.gen
-    gens = [g.transplant(big) for g in X.generators]
-    gens.append(big.var(pinned) - big.constant(alpha))
-    Xhat = AffineVariety(big, gens, budget=budget)
+        ring = X.ring
+        pinned = _fresh_name(f"x{ring.nvars + 1}", ring.variables)
+        big = PolyRing(ring.field, ring.variables + (pinned,), ring.order)
+        alpha = ring.field.gen
+        gens = [g.transplant(big) for g in X.generators]
+        gens.append(big.var(pinned) - big.constant(alpha))
+        Xhat = AffineVariety(big, gens)
 
-    new_maps = []
-    for s in group:
-        comps = [(num.transplant(big), den.transplant(big))
-                 for num, den in d.maps[s].components]
-        comps.append((big.constant(group.apply(s, alpha)), big.one))
-        new_maps.append(RationalMap(big, comps, normalize=False))
-    return DescentDatum(Xhat, group, new_maps)
+        new_maps = []
+        for s in group:
+            comps = [(num.transplant(big), den.transplant(big))
+                     for num, den in d.maps[s].components]
+            comps.append((big.constant(group.apply(s, alpha)), big.one))
+            new_maps.append(RationalMap(big, comps, normalize=False))
+        return DescentDatum(Xhat, group, new_maps)
 
 
 # -- the first isomorphism ------------------------------------------------------------
@@ -323,40 +317,40 @@ def _phi_map(d: DescentDatum) -> RationalMap:
 
 def build_phi(d: DescentDatum, budget=None):
     """Phi: x -> (f_sigma(x))_sigma, and the ideal of Phi(X) in the block ring."""
-    budget = _as_budget(budget)
-    group = d.group
-    X = d.variety
-    action = _phi_action(d)
-    big = action.ring
-    n = X.ring.nvars
-    phi = _phi_map(d)
+    with _run(budget):
+        group = d.group
+        X = d.variety
+        action = _phi_action(d)
+        big = action.ring
+        n = X.ring.nvars
+        phi = _phi_map(d)
 
-    # Identity block variables carry the X names, so transplanting by name
-    # lands polynomials on the e-block.
-    gens = []
-    e = group.identity_index
-    for s in group:
-        var_map = {i: action.variable_index(s, i) for i in range(n)}
-        for P in X.generators:
-            gens.append(P.sigma(group, s).transplant(big, var_map))
-    for s in group:
-        if s == e:
-            continue
-        f = d.maps[s]
-        for j, (num, den) in enumerate(f.components):
-            y = big.var(action.variable_index(s, j))
-            gens.append(y * den.transplant(big) - num.transplant(big))
-    ideal = Ideal(big, gens)
-    prod = _denominator_product([phi])
-    if prod is not None:
-        ideal = saturate(ideal, prod.transplant(big), budget=budget)
-    return phi, ideal
+        # Identity block variables carry the X names, so transplanting by name
+        # lands polynomials on the e-block.
+        gens = []
+        e = group.identity_index
+        for s in group:
+            var_map = {i: action.variable_index(s, i) for i in range(n)}
+            for P in X.generators:
+                gens.append(P.sigma(group, s).transplant(big, var_map))
+        for s in group:
+            if s == e:
+                continue
+            f = d.maps[s]
+            for j, (num, den) in enumerate(f.components):
+                y = big.var(action.variable_index(s, j))
+                gens.append(y * den.transplant(big) - num.transplant(big))
+        ideal = Ideal(big, gens)
+        prod = _denominator_product([phi])
+        if prod is not None:
+            ideal = saturate(ideal, prod.transplant(big))
+        return phi, ideal
 
 
 # -- the pipeline -----------------------------------------------------------------------
 
 
-def _trace_descend_generators(ideal: Ideal, group, budget=None):
+def _trace_descend_generators(ideal: Ideal, group):
     """Replace non-rational generators by their trace family; verify equality.
 
     An ideal whose generators are all rational is returned itself, with the
@@ -375,12 +369,12 @@ def _trace_descend_generators(ideal: Ideal, group, budget=None):
             if not T.is_zero():
                 out.append(T)
     descended = Ideal(ideal.ring, out)
-    if not ideals_equal(descended, ideal, budget=budget):
+    if not ideals_equal(descended, ideal):
         raise VerificationError("trace descent changed the ideal")
     return descended
 
 
-def _sigma_stable(ideal: Ideal, group, budget=None) -> bool:
+def _sigma_stable(ideal: Ideal, group) -> bool:
     """Whether sigma(I) = I for every sigma, from one reduced basis of I.
 
     sigma acts on coefficients only, so it maps the reduced grevlex basis G
@@ -388,22 +382,22 @@ def _sigma_stable(ideal: Ideal, group, budget=None) -> bool:
     terms in the same places: sigma(I) = I exactly when sigma(G) = G term
     by term.
     """
-    gb = ideal.groebner_basis(order=MonomialOrder("grevlex"), budget=budget)
+    gb = ideal.groebner_basis(order=MonomialOrder("grevlex"))
     return all(
         g.sigma(group, s).terms == g.terms for s in group for g in gb.elements
     )
 
 
-def _certify_y(y_ideal: Ideal, group, certificates, budget):
+def _certify_y(y_ideal: Ideal, group, certificates):
     """Certify Y sigma-stable, then trace-descend it to rational generators.
 
     Records y_sigma_stable and y_rational_generators in `certificates` and
     returns the descended ideal; a failed certificate raises.
     """
-    certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group, budget)
+    certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group)
     if not certificates["y_sigma_stable"]:
         raise VerificationError("Y is not stable under the group action")
-    y_ideal = _trace_descend_generators(y_ideal, group, budget)
+    y_ideal = _trace_descend_generators(y_ideal, group)
     certificates["y_rational_generators"] = all(
         g.has_rational_coefficients() for g in y_ideal.generators
     )
@@ -412,14 +406,14 @@ def _certify_y(y_ideal: Ideal, group, certificates, budget):
     return y_ideal
 
 
-def _x_stable_and_trivial(d: DescentDatum, budget=None):
+def _x_stable_and_trivial(d: DescentDatum):
     group = d.group
     X = d.variety
-    if not _sigma_stable(X.ideal, group, budget):
+    if not _sigma_stable(X.ideal, group):
         return False
     ident = identity_map(X.ring)
     for s in group:
-        equal, _ = maps_equal_mod_ideal(d.maps[s], ident, X.ideal, budget)
+        equal, _ = maps_equal_mod_ideal(d.maps[s], ident, X.ideal)
         if not equal:
             return False
     return True
@@ -435,113 +429,113 @@ def descend(
 
     The budget caps the reduction steps of the whole run.
     """
-    budget = _as_budget(budget)
-    group = d.group
-    verify_datum(d, budget=budget, strict=True)
-    certificates = {
-        "datum_cocycle": True,
-        "datum_into_conjugate": True,
-    }
+    with _run(budget):
+        group = d.group
+        verify_datum(d, strict=True)
+        certificates = {
+            "datum_cocycle": True,
+            "datum_into_conjugate": True,
+        }
 
-    if _x_stable_and_trivial(d, budget):
-        # X is fixed by every sigma and the datum is trivial: X is already a
-        # model over the fixed field after trace-descending its generators.
-        certificates["disjoint_conjugates"] = True
-        y_ideal = _certify_y(d.variety.ideal, group, certificates, budget)
-        R = identity_map(d.variety.ring)
-        certificates.update(descent_relation=True, inverse_recovered=True)
+        if _x_stable_and_trivial(d):
+            # X is fixed by every sigma and the datum is trivial: X is already a
+            # model over the fixed field after trace-descending its generators.
+            certificates["disjoint_conjugates"] = True
+            y_ideal = _certify_y(d.variety.ideal, group, certificates)
+            R = identity_map(d.variety.ring)
+            certificates.update(descent_relation=True, inverse_recovered=True)
+            return DescentResult(
+                group=group,
+                datum=d,
+                y_ring=d.variety.ring,
+                y_generators=y_ideal.generators,
+                y_ideal=y_ideal,
+                map=R,
+                inverse=R,
+                certificates=certificates,
+                invariant_count=d.variety.ring.nvars,
+            )
+
+        dd = disjointify(d)
+        X = d.variety
+
+        # Certify disjointness of the working model's conjugates: disjointify
+        # returns its input only after finding every pair disjoint.
+        disjoint = dd is d or _conjugates_disjoint(dd.variety, group)
+        certificates["disjoint_conjugates"] = disjoint
+        if not disjoint:
+            raise VerificationError("conjugate models are not pairwise disjoint")
+
+        action = _phi_action(dd)
+        phi = _phi_map(dd)
+        invars = generate_invariants(action)
+
+        # Certify the invariance and rationality of the generators (exact).
+        certificates["psi_theta_invariant"] = all(
+            action.is_invariant(E) for E in invars
+        )
+        certificates["psi_rational"] = all(
+            E.has_rational_coefficients() for E in invars
+        )
+        if not (certificates["psi_theta_invariant"] and certificates["psi_rational"]):
+            raise VerificationError("invariant generators failed their certificates")
+
+        taken = set(X.ring.variables)
+        tnames = tuple(_fresh_name(f"t{k + 1}", taken) for k in range(len(invars)))
+        psi = RationalMap(action.ring, [(E, action.ring.one) for E in invars],
+                          normalize=False)
+        R = compose_map(psi, phi)
+        R = _reduce_map(R, dd.variety.ideal.groebner_basis())
+        if dd is not d:
+            R = _restrict_to_original(d, R)
+
+        # Y is the image of R, eliminated from the graph basis; _reduce_map has
+        # already rejected a denominator vanishing on X.  The same graph basis
+        # gives R^-1 below unless pruning changes the target coordinates.
+        graph = _graph_basis(R, X.ideal, tnames)
+        y_ideal = _second_block(*graph)
+
+        # Pruning reads only reduced bases, which depend on the ideal alone, so
+        # Y is certified once, on its final coordinates.
+        pruned = ()
+        if prune:
+            y_ideal, R, pruned = _prune_coordinates(y_ideal, R)
+        y_ideal = _certify_y(y_ideal, group, certificates)
+
+        for s in group:
+            relation, witness = _relation(R, d, s)
+            if not relation:
+                break
+        certificates["descent_relation"] = relation
+        if not relation:
+            raise VerificationError("R != R^sigma o f_sigma on X", witness)
+
+        inverse = None
+        if want_inverse:
+            if pruned:
+                inverse = recover_inverse(R, X.ideal, y_ideal)
+            else:
+                inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal)
+        certificates["inverse_recovered"] = inverse is not None
+
+        if inverse is not None:
+            checks = _verify_inverse(R, inverse, X.ideal, y_ideal)
+            if not all(ok for ok, _ in checks):
+                inverse = None
+                certificates["inverse_recovered"] = False
+
         return DescentResult(
             group=group,
             datum=d,
-            y_ring=d.variety.ring,
+            y_ring=y_ideal.ring,
             y_generators=y_ideal.generators,
             y_ideal=y_ideal,
             map=R,
-            inverse=R,
+            inverse=inverse,
             certificates=certificates,
-            invariant_count=d.variety.ring.nvars,
+            invariant_count=len(invars),
+            pruned=pruned,
         )
-
-    dd = disjointify(d, budget=budget)
-    X = d.variety
-
-    # Certify disjointness of the working model's conjugates: disjointify
-    # returns its input only after finding every pair disjoint.
-    disjoint = dd is d or _conjugates_disjoint(dd.variety, group, budget)
-    certificates["disjoint_conjugates"] = disjoint
-    if not disjoint:
-        raise VerificationError("conjugate models are not pairwise disjoint")
-
-    action = _phi_action(dd)
-    phi = _phi_map(dd)
-    invars = generate_invariants(action, budget)
-
-    # Certify the invariance and rationality of the generators (exact).
-    certificates["psi_theta_invariant"] = all(
-        action.is_invariant(E) for E in invars
-    )
-    certificates["psi_rational"] = all(
-        E.has_rational_coefficients() for E in invars
-    )
-    if not (certificates["psi_theta_invariant"] and certificates["psi_rational"]):
-        raise VerificationError("invariant generators failed their certificates")
-
-    taken = set(X.ring.variables)
-    tnames = tuple(_fresh_name(f"t{k + 1}", taken) for k in range(len(invars)))
-    psi = RationalMap(action.ring, [(E, action.ring.one) for E in invars],
-                      normalize=False)
-    R = compose_map(psi, phi)
-    R = _reduce_map(R, dd.variety.ideal.groebner_basis(budget=budget), budget)
-    if dd is not d:
-        R = _restrict_to_original(d, R)
-
-    # Y is the image of R, eliminated from the graph basis; _reduce_map has
-    # already rejected a denominator vanishing on X.  The same graph basis
-    # gives R^-1 below unless pruning changes the target coordinates.
-    graph = _graph_basis(R, X.ideal, tnames, budget)
-    y_ideal = _second_block(*graph)
-
-    # Pruning reads only reduced bases, which depend on the ideal alone, so
-    # Y is certified once, on its final coordinates.
-    pruned = ()
-    if prune:
-        y_ideal, R, pruned = _prune_coordinates(y_ideal, R, budget)
-    y_ideal = _certify_y(y_ideal, group, certificates, budget)
-
-    for s in group:
-        relation, witness = _relation(R, d, s, budget)
-        if not relation:
-            break
-    certificates["descent_relation"] = relation
-    if not relation:
-        raise VerificationError("R != R^sigma o f_sigma on X", witness)
-
-    inverse = None
-    if want_inverse:
-        if pruned:
-            inverse = recover_inverse(R, X.ideal, y_ideal, budget=budget)
-        else:
-            inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal, budget)
-    certificates["inverse_recovered"] = inverse is not None
-
-    if inverse is not None:
-        checks = _verify_inverse(R, inverse, X.ideal, y_ideal, budget)
-        if not all(ok for ok, _ in checks):
-            inverse = None
-            certificates["inverse_recovered"] = False
-
-    return DescentResult(
-        group=group,
-        datum=d,
-        y_ring=y_ideal.ring,
-        y_generators=y_ideal.generators,
-        y_ideal=y_ideal,
-        map=R,
-        inverse=inverse,
-        certificates=certificates,
-        invariant_count=len(invars),
-        pruned=pruned,
-    )
 
 
 def _restrict_to_original(d: DescentDatum, R: RationalMap) -> RationalMap:
@@ -556,7 +550,7 @@ def _restrict_to_original(d: DescentDatum, R: RationalMap) -> RationalMap:
     return RationalMap(ring, comps, normalize=False)
 
 
-def _verify_inverse(R, Rinv, x_ideal, y_ideal, budget):
+def _verify_inverse(R, Rinv, x_ideal, y_ideal):
     """Rinv o R = id on X, then R o Rinv = id on Y: one (ok, witness) per direction.
 
     A denominator that vanishes fails its own direction, with the
@@ -566,7 +560,7 @@ def _verify_inverse(R, Rinv, x_ideal, y_ideal, budget):
     for outer, inner, ideal in ((Rinv, R, x_ideal), (R, Rinv, y_ideal)):
         try:
             checks.append(maps_equal_mod_ideal(
-                compose_map(outer, inner), identity_map(ideal.ring), ideal, budget
+                compose_map(outer, inner), identity_map(ideal.ring), ideal
             ))
         except ZeroDenominator as exc:
             checks.append((False, exc))
@@ -578,14 +572,14 @@ def recover_inverse(R: RationalMap, I_X: Ideal, I_Y: Ideal, budget=None):
 
     Soft outcome: returns None when no usable elements appear.
     """
-    budget = _as_budget(budget)
-    gb, split = _graph_basis(R, I_X, I_Y.ring.variables, budget)
-    return _inverse_from_graph(gb, split, I_X.ring.nvars, I_Y, budget)
+    with _run(budget):
+        gb, split = _graph_basis(R, I_X, I_Y.ring.variables)
+        return _inverse_from_graph(gb, split, I_X.ring.nvars, I_Y)
 
 
-def _inverse_from_graph(gb, split, n, I_Y: Ideal, budget=None):
+def _inverse_from_graph(gb, split, n, I_Y: Ideal):
     """R^-1 read off the graph basis of R (n source variables first), or None."""
-    y_gb = I_Y.groebner_basis(budget=budget)
+    y_gb = I_Y.groebner_basis()
     target = I_Y.ring
     found = {}
     for g in gb.elements:
@@ -605,7 +599,7 @@ def _inverse_from_graph(gb, split, n, I_Y: Ideal, budget=None):
                 b_terms[tuple(mm)] = coeff
         c = MultiPoly(target, {m: c for m, c in c_terms.items()})
         b = MultiPoly(target, {m: c for m, c in b_terms.items()})
-        if normal_form(c, y_gb, budget).is_zero():
+        if normal_form(c, y_gb).is_zero():
             continue
         found[i] = (-b, c)
     if len(found) < n:
@@ -616,7 +610,7 @@ def _inverse_from_graph(gb, split, n, I_Y: Ideal, budget=None):
 # -- optional coordinate pruning --------------------------------------------------------
 
 
-def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
+def _prune_coordinates(y_ideal: Ideal, R: RationalMap):
     """Drop target coordinates expressible in the remaining ones.
 
     Coordinates are tested from the highest index down; t_j is dropped when
@@ -645,7 +639,7 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
             break
         ring = PolyRing(field, names, MonomialOrder("lex"))
         moved = Ideal(ring, [g.transplant(ring) for g in gens])
-        gb = moved.groebner_basis(budget=budget)
+        gb = moved.groebner_basis()
         leads = {lead for lead, _ in gb.divisors}
         j = 0
         while j < limit and (0,) * j + (1,) + (0,) * (len(names) - j - 1) in leads:
@@ -660,7 +654,7 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap, budget=None):
         return y_ideal, R, ()
     left = PolyRing(field, [v for v in coords if v not in dropped])
     current = _generated_by(Ideal(left, [g.transplant(left) for g in gens])
-                            .groebner_basis(budget=budget))
+                            .groebner_basis())
     comps = [c for v, c in zip(coords, R.components) if v not in dropped]
     return current, RationalMap(R.ring, comps, normalize=False), tuple(dropped)
 
@@ -676,43 +670,43 @@ def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
     optional inverse (a loaded result document).  A failed check is reported
     with its witness, not raised.
     """
-    budget = _as_budget(budget)
-    report = DatumReport()
-    datum = problem.datum
-    group = problem.group
-    X = datum.variety
-    R = claimed.map
+    with _run(budget):
+        report = DatumReport()
+        datum = problem.datum
+        group = problem.group
+        X = datum.variety
+        R = claimed.map
 
-    report.add(
-        "Y generators over the fixed field",
-        all(g.has_rational_coefficients() for g in claimed.y_generators),
-    )
+        report.add(
+            "Y generators over the fixed field",
+            all(g.has_rational_coefficients() for g in claimed.y_generators),
+        )
 
-    # R(X) lands inside Y: each Y generator composed with R vanishes on X.
-    x_gb = _equality_basis(X.ideal, [R], budget)
-    rems = _composed_normal_forms(claimed.y_generators, R, x_gb, budget)
-    for gi, rem in enumerate(rems):
-        ok = rem.is_zero()
-        report.add(f"image containment generator_{gi}", ok,
-                   None if ok else str(rem))
+        # R(X) lands inside Y: each Y generator composed with R vanishes on X.
+        x_gb = _equality_basis(X.ideal, [R])
+        rems = _composed_normal_forms(claimed.y_generators, R, x_gb)
+        for gi, rem in enumerate(rems):
+            ok = rem.is_zero()
+            report.add(f"image containment generator_{gi}", ok,
+                       None if ok else str(rem))
 
-    for s in group:
-        if s == group.identity_index:
-            continue
-        try:
-            equal, witness = _relation(R, datum, s, budget)
-        except ZeroDenominator as exc:
-            equal, witness = False, exc
-        report.add(f"descent relation {problem.labels[s]}", equal,
-                   None if equal else str(witness))
+        for s in group:
+            if s == group.identity_index:
+                continue
+            try:
+                equal, witness = _relation(R, datum, s)
+            except ZeroDenominator as exc:
+                equal, witness = False, exc
+            report.add(f"descent relation {problem.labels[s]}", equal,
+                       None if equal else str(witness))
 
-    if claimed.inverse is not None:
-        y_ideal = Ideal(claimed.y_ring, list(claimed.y_generators))
-        checks = _verify_inverse(R, claimed.inverse, X.ideal, y_ideal, budget)
-        for where, (ok, witness) in zip(("X", "Y"), checks):
-            report.add(f"inverse composition on {where}", ok,
-                       None if ok else str(witness))
-    return report
+        if claimed.inverse is not None:
+            y_ideal = Ideal(claimed.y_ring, list(claimed.y_generators))
+            checks = _verify_inverse(R, claimed.inverse, X.ideal, y_ideal)
+            for where, (ok, witness) in zip(("X", "Y"), checks):
+                report.add(f"inverse composition on {where}", ok,
+                           None if ok else str(witness))
+        return report
 
 
 # -- other versions of the theorem -------------------------------------------------------
@@ -726,88 +720,88 @@ def descend_morphism(
     Returns (DescentResult, L) with L o R = phi modulo I(X) and L defined
     over the fixed field.
     """
-    budget = _as_budget(budget)
-    group = d.group
-    X = d.variety
-    if any(not g.has_rational_coefficients() for g in Z.generators):
-        raise InputError("Z must be given by generators over the fixed field")
-    if phi.ring != X.ring:
-        raise InputError("phi must be defined on X's ring")
-    if phi.target_arity != Z.ring.nvars:
-        raise InputError("phi must land in Z's ambient space")
+    with _run(budget):
+        group = d.group
+        X = d.variety
+        if any(not g.has_rational_coefficients() for g in Z.generators):
+            raise InputError("Z must be given by generators over the fixed field")
+        if phi.ring != X.ring:
+            raise InputError("phi must be defined on X's ring")
+        if phi.target_arity != Z.ring.nvars:
+            raise InputError("phi must land in Z's ambient space")
 
-    gb = _equality_basis(X.ideal, [phi], budget)
-    for rem in _composed_normal_forms(Z.generators, phi, gb, budget):
-        if not rem.is_zero():
-            raise InputError("phi does not map X into Z")
-    for s in group:
-        equal, witness = _relation(phi, d, s, budget)
+        gb = _equality_basis(X.ideal, [phi])
+        for rem in _composed_normal_forms(Z.generators, phi, gb):
+            if not rem.is_zero():
+                raise InputError("phi does not map X into Z")
+        for s in group:
+            equal, witness = _relation(phi, d, s)
+            if not equal:
+                raise MorphismIncompatible(s, witness)
+
+        result = descend(d)
+        if result.inverse is None:
+            raise MissingInverse(
+                "morphism transport needs an explicit inverse of R"
+            )
+        y_gb = result.y_ideal.groebner_basis()
+        L = _reduce_map(compose_map(phi, result.inverse), y_gb)
+        rational, witness = _sigma_fixed(L, group, result.y_ideal)
+        if not rational:
+            raise NotKRational("transported morphism is not fixed-field rational",
+                               witness)
+        back = compose_map(L, result.map)
+        equal, witness = maps_equal_mod_ideal(back, phi, X.ideal)
         if not equal:
-            raise MorphismIncompatible(s, witness)
-
-    result = descend(d, budget=budget)
-    if result.inverse is None:
-        raise MissingInverse(
-            "morphism transport needs an explicit inverse of R"
-        )
-    y_gb = result.y_ideal.groebner_basis(budget=budget)
-    L = _reduce_map(compose_map(phi, result.inverse), y_gb, budget)
-    rational, witness = _sigma_fixed(L, group, result.y_ideal, budget)
-    if not rational:
-        raise NotKRational("transported morphism is not fixed-field rational",
-                           witness)
-    back = compose_map(L, result.map)
-    equal, witness = maps_equal_mod_ideal(back, phi, X.ideal, budget)
-    if not equal:
-        raise VerificationError("L o R != phi on X", witness)
-    return result, L
+            raise VerificationError("L o R != phi on X", witness)
+        return result, L
 
 
 def transport_automorphisms(result: DescentResult, G, budget=None):
     """H = R G R^{-1} on Y, verified closed under the group action."""
     if result.inverse is None:
         raise MissingInverse("automorphism transport needs an inverse of R")
-    budget = _as_budget(budget)
-    d = result.datum
-    group = result.group
-    X = d.variety
-    x_gb = _equality_basis(X.ideal, list(G) + list(d.maps), budget)
+    with _run(budget):
+        d = result.datum
+        group = result.group
+        X = d.variety
+        x_gb = _equality_basis(X.ideal, list(G) + list(d.maps))
 
-    for g in G:
-        for gi, rem in enumerate(_composed_normal_forms(X.generators, g, x_gb, budget)):
-            if not rem.is_zero():
-                raise InputError(
-                    f"input map {G.index(g)} is not an automorphism of X "
-                    f"(generator {gi} not preserved)"
-                )
-
-    def setwise_member(cand, pool, ideal):
-        for member in pool:
-            equal, _ = maps_equal_mod_ideal(cand, member, ideal, budget)
-            if equal:
-                return True
-        return False
-
-    for s in group:
         for g in G:
-            lhs = compose_map(g.sigma(group, s), d.maps[s])
-            candidates = [compose_map(d.maps[s], gp) for gp in G]
-            if not setwise_member(lhs, candidates, X.ideal):
-                raise ConjugationNotClosed(s)
+            for gi, rem in enumerate(_composed_normal_forms(X.generators, g, x_gb)):
+                if not rem.is_zero():
+                    raise InputError(
+                        f"input map {G.index(g)} is not an automorphism of X "
+                        f"(generator {gi} not preserved)"
+                    )
 
-    y_gb = result.y_ideal.groebner_basis(budget=budget)
-    H = []
-    for g in G:
-        h = compose_map(result.map, compose_map(g, result.inverse))
-        h = _reduce_map(h, y_gb, budget)
-        if not setwise_member(h, H, result.y_ideal):
-            H.append(h)
+        def setwise_member(cand, pool, ideal):
+            for member in pool:
+                equal, _ = maps_equal_mod_ideal(cand, member, ideal)
+                if equal:
+                    return True
+            return False
 
-    for s in group:
-        for h in H:
-            if not setwise_member(h.sigma(group, s), H, result.y_ideal):
-                raise ConjugationNotClosed(s)
-    return H
+        for s in group:
+            for g in G:
+                lhs = compose_map(g.sigma(group, s), d.maps[s])
+                candidates = [compose_map(d.maps[s], gp) for gp in G]
+                if not setwise_member(lhs, candidates, X.ideal):
+                    raise ConjugationNotClosed(s)
+
+        y_gb = result.y_ideal.groebner_basis()
+        H = []
+        for g in G:
+            h = compose_map(result.map, compose_map(g, result.inverse))
+            h = _reduce_map(h, y_gb)
+            if not setwise_member(h, H, result.y_ideal):
+                H.append(h)
+
+        for s in group:
+            for h in H:
+                if not setwise_member(h.sigma(group, s), H, result.y_ideal):
+                    raise ConjugationNotClosed(s)
+        return H
 
 
 def compare_models(model1, model2, d: DescentDatum, budget=None) -> RationalMap:
@@ -825,19 +819,19 @@ def compare_models(model1, model2, d: DescentDatum, budget=None) -> RationalMap:
     if R1_inv is None:
         raise MissingInverse("compare_models needs an inverse for the first model")
 
-    budget = _as_budget(budget)
-    for label, R in (("first", R1), ("second", R2)):
-        for s in d.group:
-            equal, witness = _relation(R, d, s, budget)
-            if not equal:
-                raise VerificationError(
-                    f"{label} model does not satisfy R = R^sigma o f_sigma",
-                    witness,
-                )
+    with _run(budget):
+        for label, R in (("first", R1), ("second", R2)):
+            for s in d.group:
+                equal, witness = _relation(R, d, s)
+                if not equal:
+                    raise VerificationError(
+                        f"{label} model does not satisfy R = R^sigma o f_sigma",
+                        witness,
+                    )
 
-    y1_gb = Y1.groebner_basis(budget=budget)
-    J = _reduce_map(compose_map(R2, R1_inv), y1_gb, budget)
-    rational, witness = _sigma_fixed(J, d.group, Y1, budget)
-    if not rational:
-        raise NotKRational("comparison map is not fixed-field rational", witness)
-    return J
+        y1_gb = Y1.groebner_basis()
+        J = _reduce_map(compose_map(R2, R1_inv), y1_gb)
+        rational, witness = _sigma_fixed(J, d.group, Y1)
+        if not rational:
+            raise NotKRational("comparison map is not fixed-field rational", witness)
+        return J

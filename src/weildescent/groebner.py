@@ -8,7 +8,7 @@ blowup (ResourceLimit on breach, never a silent hang).
 from __future__ import annotations
 
 from . import kernel
-from .kernel import DEFAULT_BUDGET
+from ._pykernel import _as_budget, _run
 from .errors import InputError, ZeroDenominator
 from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap
 
@@ -86,19 +86,6 @@ class GroebnerBasis:
         return f"GroebnerBasis<{', '.join(str(g) for g in self.elements)}>"
 
 
-def _as_budget(budget):
-    """The one-element list of remaining steps that every kernel call draws from.
-
-    An int (or None, meaning DEFAULT_BUDGET) becomes a fresh list; a list is
-    passed through, so converting once at an entry point caps the whole run.
-    """
-    if budget is None:
-        return [DEFAULT_BUDGET]
-    if isinstance(budget, list):
-        return budget
-    return [budget]
-
-
 def groebner(I: Ideal, order=None, budget=None) -> GroebnerBasis:
     """The reduced Groebner basis of I under the given order."""
     order = order or I.ring.order
@@ -117,7 +104,7 @@ def normal_form(P: MultiPoly, gb: GroebnerBasis, budget=None) -> MultiPoly:
     return MultiPoly(gb.ring, rem)
 
 
-def _block_basis(I: Ideal, first, budget=None):
+def _block_basis(I: Ideal, first):
     """Basis of I in the block order that eliminates the variables named in `first`.
 
     Those variables move to the front, in ring order, and the rest follow in
@@ -129,7 +116,7 @@ def _block_basis(I: Ideal, first, budget=None):
     names += [v for v in ring.variables if v not in first]
     block = PolyRing(ring.field, names, MonomialOrder("block", split=split))
     moved = Ideal(block, [g.transplant(block) for g in I.generators])
-    return moved.groebner_basis(budget=budget), split
+    return moved.groebner_basis(), split
 
 
 def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
@@ -137,7 +124,8 @@ def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
     for v in drop_vars:
         if v not in I.ring.variables:
             raise InputError(f"no variable {v!r} to eliminate")
-    return _second_block(*_block_basis(I, set(drop_vars), budget))
+    with _run(budget):
+        return _second_block(*_block_basis(I, set(drop_vars)))
 
 
 def _second_block(gb: GroebnerBasis, split) -> Ideal:
@@ -195,6 +183,20 @@ def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
     return sat
 
 
+def _reduced_denominator(den: MultiPoly, gb: GroebnerBasis, message) -> MultiPoly:
+    """den modulo gb, kept as is when constant.
+
+    A non-constant denominator whose normal form is 0 vanishes on V(gb) and
+    raises ZeroDenominator(message).
+    """
+    if den.is_constant():
+        return den
+    rd = normal_form(den, gb)
+    if rd.is_zero():
+        raise ZeroDenominator(message)
+    return rd
+
+
 def _denominator_product(maps):
     """Product of the maps' non-constant denominators, or None if there are none."""
     prod = None
@@ -205,7 +207,7 @@ def _denominator_product(maps):
     return prod
 
 
-def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, budget=None):
+def _graph_basis(F: RationalMap, I_source: Ideal, target_vars):
     """Block-order basis of the graph of F on V(I_source), denominators saturated.
 
     The first block holds the source variables, then one auxiliary variable
@@ -223,7 +225,7 @@ def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, budget=None):
         gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
     if prod is not None:
         gens.append(big.one - big.var(names[-1]) * prod.transplant(big))
-    return _block_basis(Ideal(big, gens), set(names), budget)
+    return _block_basis(Ideal(big, gens), set(names))
 
 
 def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Ideal:
@@ -242,14 +244,14 @@ def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Id
     if len(taken) != ring.nvars + len(target_vars):
         raise InputError("target variables collide with source variables")
 
-    src_gb = I_source.groebner_basis(budget=budget)
-    for _, den in F.components:
-        if not den.is_constant() and normal_form(den, src_gb, budget).is_zero():
-            raise ZeroDenominator(
-                "a map denominator vanishes identically on the source variety"
+    with _run(budget):
+        src_gb = I_source.groebner_basis()
+        for den in F.denominators():
+            _reduced_denominator(
+                den, src_gb,
+                "a map denominator vanishes identically on the source variety",
             )
-
-    return _second_block(*_graph_basis(F, I_source, target_vars, budget))
+        return _second_block(*_graph_basis(F, I_source, target_vars))
 
 
 def ideals_equal(I: Ideal, J: Ideal, budget=None) -> bool:
@@ -257,6 +259,7 @@ def ideals_equal(I: Ideal, J: Ideal, budget=None) -> bool:
     if I.ring.variables != J.ring.variables or I.ring.field != J.ring.field:
         raise InputError("ideals live in different rings")
     order = MonomialOrder("grevlex")
-    gi = I.groebner_basis(order=order, budget=budget)
-    gj = J.groebner_basis(order=order, budget=budget)
+    with _run(budget):
+        gi = I.groebner_basis(order=order)
+        gj = J.groebner_basis(order=order)
     return [g.terms for g in gi.elements] == [g.terms for g in gj.elements]

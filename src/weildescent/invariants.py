@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from ._pykernel import _spend
+from ._pykernel import _as_budget, _spend
 from .errors import InputError, ResourceLimit
-from .groebner import _as_budget
 from .multipoly import MonomialOrder, MultiPoly, PolyRing
 
 __all__ = [

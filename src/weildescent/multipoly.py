@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import kernel
-from ._pykernel import _spend
+from ._pykernel import _as_budget, _spend
 from .errors import InputError, ZeroDenominator
 from .numberfield import NumberField, NumberFieldElement
 
@@ -409,7 +409,7 @@ def _lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         | {(1,) + m: -c for m, c in q.terms.items()},
     ]
     basis = kernel.buchberger(
-        gens, MonomialOrder("block", split=1).key, [kernel.DEFAULT_BUDGET]
+        gens, MonomialOrder("block", split=1).key, _as_budget(None)
     )
     (terms,) = [terms for lead, terms in basis if not lead[0]]
     return MultiPoly(p.ring, {m[1:]: c for m, c in terms.items()})
@@ -504,17 +504,15 @@ def identity_map(ring: PolyRing) -> RationalMap:
     return RationalMap(ring, [(v, ring.one) for v in ring.gens()], normalize=False)
 
 
-def _substitute_fraction(P: MultiPoly, numerators, denominators, target: PolyRing,
-                         budget=None):
+def _substitute_fraction(P: MultiPoly, numerators, denominators, target: PolyRing):
     """P(n1/d1, ..., nk/dk) as a (numerator, denominator) pair over target.
 
-    With a budget list, the powers of each numerator and denominator are
-    charged to it, one step each, before any is built.
+    The powers of each numerator and denominator are charged to the run's
+    budget, one step each, before any is built.
     """
     degs = [P.degree_in(i) for i in range(P.ring.nvars)]
     degs = [max(d, 0) for d in degs]
-    if budget is not None:
-        _spend(budget, 2 * sum(degs))
+    _spend(_as_budget(None), 2 * sum(degs))
     num_pows = []
     den_pows = []
     for i in range(P.ring.nvars):

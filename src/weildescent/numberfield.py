@@ -724,14 +724,17 @@ def basis_matrix(group: GaloisGroup, basis) -> BasisMatrix:
 
 
 def solve_trace_coefficients(A: BasisMatrix):
-    """Solve A * lambda = (1, 0, ..., 0)^T over L.
+    """Solve A * lambda = delta over L, where delta is 1 on the identity's row
+    and 0 elsewhere.
 
-    The returned vector makes P = sum_j lambda_j * Tr(e_j * P) an identity for
-    every polynomial P over L.
+    Row i of A holds sigma_i(e_j), so sum_j lambda_j * Tr(e_j * P) is
+    sum_i (A * lambda)_i * sigma_i(P) = P for every polynomial P over L,
+    wherever the group lists the identity.
     """
     field = A.group.field
     n = len(A.basis)
-    rows = [list(A.entries[i]) + [field.one if i == 0 else field.zero] for i in range(n)]
+    e = A.group.identity_index
+    rows = [list(A.entries[i]) + [field.one if i == e else field.zero] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
         if pivot is None:

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
+from ._pykernel import _as_budget, _run
 from .descent import AffineVariety, DescentDatum, DescentResult
 from .errors import InputError
-from .groebner import _as_budget
 from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap
 from .numberfield import GaloisGroup, NumberField
 from .parsing import parse_poly
@@ -221,8 +221,8 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
 
     `order` ("grevlex" or "lex") overrides [options] order and `budget` (an
     int) overrides [options] budget.  The budget is converted once: checking
-    the equations while loading draws from it, and it is kept as
-    ProblemFile.budget for the run.
+    the equations and normalising the datum maps while loading draw from it,
+    and it is kept as ProblemFile.budget for the run.
     """
     sections = parse_sections(text)
     by_name = _sections_by_name(
@@ -261,30 +261,31 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
         for key, value, _ in by_name["variety"]
         if key == "equation"
     ]
-    variety = AffineVariety(ring, equations, budget=budget)
+    with _run(budget):
+        variety = AffineVariety(ring, equations)
 
-    maps = {}
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    for name, entries in sections:
-        if not name.startswith("datum."):
-            continue
-        label = name[len("datum."):]
-        if label not in label_index:
-            raise InputError(f"section [{name}] names no declared automorphism")
-        idx = label_index[label]
-        if idx in maps:
-            raise InputError(f"duplicate datum section for {label!r}")
-        comps = _parse_components(entries, ring, f"[{name}]")
-        if len(comps) != ring.nvars:
-            raise InputError(
-                f"[{name}] has {len(comps)} components, expected {ring.nvars}"
-            )
-        maps[idx] = RationalMap(ring, comps)
-    for i in group:
-        if i != group.identity_index and i not in maps:
-            raise InputError(f"missing datum section for automorphism {labels[i]!r}")
+        maps = {}
+        label_index = {lab: i for i, lab in enumerate(labels)}
+        for name, entries in sections:
+            if not name.startswith("datum."):
+                continue
+            label = name[len("datum."):]
+            if label not in label_index:
+                raise InputError(f"section [{name}] names no declared automorphism")
+            idx = label_index[label]
+            if idx in maps:
+                raise InputError(f"duplicate datum section for {label!r}")
+            comps = _parse_components(entries, ring, f"[{name}]")
+            if len(comps) != ring.nvars:
+                raise InputError(
+                    f"[{name}] has {len(comps)} components, expected {ring.nvars}"
+                )
+            maps[idx] = RationalMap(ring, comps)
+        for i in group:
+            if i != group.identity_index and i not in maps:
+                raise InputError(f"missing datum section for automorphism {labels[i]!r}")
 
-    datum = DescentDatum(variety, group, maps)
+        datum = DescentDatum(variety, group, maps)
     return ProblemFile(field=field, group=group, labels=tuple(labels),
                        datum=datum, budget=budget, options=options)
 
@@ -335,15 +336,16 @@ def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
         raise InputError(
             f"[map] has {len(comps)} components but [Y] declares {len(y_vars)} variables"
         )
-    claimed_map = RationalMap(x_ring, comps)
     inverse = None
-    if "inverse" in by_name and by_name["inverse"]:
-        inv_comps = _parse_components(by_name["inverse"], y_ring, "[inverse]")
-        if len(inv_comps) != x_ring.nvars:
-            raise InputError(
-                f"[inverse] has {len(inv_comps)} components, expected {x_ring.nvars}"
-            )
-        inverse = RationalMap(y_ring, inv_comps)
+    with _run(problem.budget):
+        claimed_map = RationalMap(x_ring, comps)
+        if "inverse" in by_name and by_name["inverse"]:
+            inv_comps = _parse_components(by_name["inverse"], y_ring, "[inverse]")
+            if len(inv_comps) != x_ring.nvars:
+                raise InputError(
+                    f"[inverse] has {len(inv_comps)} components, expected {x_ring.nvars}"
+                )
+            inverse = RationalMap(y_ring, inv_comps)
     return ClaimedModel(y_ring=y_ring, y_generators=tuple(y_gens),
                         map=claimed_map, inverse=inverse)
 

@@ -130,7 +130,9 @@ def test_criterion_5_property_suites(qi, qi_group, sqrt2, sqrt2_group):
             p = p + mono * ring.constant(rand_elt(ring.field))
         return p
 
-    for field, group in ((qi, qi_group), (sqrt2, sqrt2_group)):
+    # The last group lists the identity second.
+    swapped = wd.GaloisGroup(qi, [-qi.gen, qi.gen])
+    for field, group in ((qi, qi_group), (sqrt2, sqrt2_group), (qi, swapped)):
         basis = wd.power_basis(field)
         lam = wd.solve_trace_coefficients(wd.basis_matrix(group, basis))
         ring = wd.PolyRing(field, ("x", "y"))

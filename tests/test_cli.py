@@ -149,17 +149,31 @@ class TestVerifyDatum:
         assert code == 2
         assert "nested" in err
 
-    def test_huge_exponent_stops_on_budget(self, tmp_path, capsys):
-        # Substituting the datum into x1^1000000 needs a million powers of
-        # each component; the budget is charged for them before any is built.
-        text = read_fixture("conic.txt").replace(
-            "equation = x1^2 + x2^2 - i", "equation = x1^1000000 + x2^2 - i"
-        )
+    @pytest.mark.parametrize("old, new", [
+        ("equation = x1^2 + x2^2 - i", "equation = x1^1000000 + x2^2 - i"),
+        ("component = i*x2\n", "component = i*x2^100000\n"),
+    ], ids=["equation", "datum"])
+    def test_huge_exponent_stops_on_budget(self, tmp_path, capsys, monkeypatch,
+                                           old, new):
+        # Substituting the datum into x1^1000000, or composing the datum
+        # i*x2^100000 with itself in the cocycle check, needs that many powers
+        # of each component; the budget is charged for them before any is built.
+        products = [0]
+        mul = wd.MultiPoly.__mul__
+
+        def counted(self, other):
+            products[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(wd.MultiPoly, "__mul__", counted)
+        text = read_fixture("conic.txt")
+        assert old in text
         bad = tmp_path / "bad.txt"
-        bad.write_text(text)
+        bad.write_text(text.replace(old, new))
         code, _, err = run(capsys, "verify-datum", str(bad), "--budget", "1000")
         assert code == 3
         assert "resource limit" in err
+        assert products[0] < 1000
 
 
 class TestDescend:

@@ -8,7 +8,11 @@ from tests.conftest import DOCUMENTED_FIXTURES, humbert_datum, read_fixture
 from weildescent import descent
 from weildescent.descent import _conjugates_disjoint, _sigma_stable
 from weildescent.kernel import DEFAULT_BUDGET
-from weildescent.problemfile import load_problem_text
+from weildescent.problemfile import (
+    load_claimed_model_text,
+    load_problem_text,
+    render_result,
+)
 
 
 # The points 0 and a over the splitting field of x^3 - 2 (group S3), with
@@ -384,9 +388,9 @@ class TestDescend:
         calls = []
         relation = descent._relation
 
-        def counted(R, datum, s, budget):
+        def counted(R, datum, s):
             calls.append(s)
-            return relation(R, datum, s, budget)
+            return relation(R, datum, s)
 
         monkeypatch.setattr(descent, "_relation", counted)
         res = wd.descend(d)
@@ -437,6 +441,33 @@ class TestRunBudget:
         with pytest.raises(wd.ResourceLimit):
             wd.descend(humbert_datum(), prune=True, budget=largest)
         wd.descend(humbert_datum(), prune=True, budget=total)
+
+    @pytest.mark.parametrize(
+        "name", sorted({name for name, _ in DOCUMENTED_FIXTURES.values()})
+    )
+    def test_every_kernel_call_draws_from_the_run(self, name, monkeypatch):
+        # Loading, verify_datum, descend with and without pruning, and
+        # check_claimed_model on the run's own document hand the kernel only
+        # the list the problem was loaded with, never a fresh one.
+        kernel = sys.modules["weildescent.kernel"]
+        lists = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                lists.append(args[-1])
+                return fn(*args)
+            return wrapper
+
+        for entry in ("buchberger", "normal_form"):
+            monkeypatch.setattr(kernel, entry, recorded(getattr(kernel, entry)))
+        run = [DEFAULT_BUDGET]
+        problem = load_problem_text(read_fixture(f"{name}.txt"), budget=run)
+        assert wd.verify_datum(problem.datum, budget=run).ok
+        for prune in (False, True):
+            result = wd.descend(problem.datum, budget=run, prune=prune)
+        claimed = load_claimed_model_text(render_result(result), problem)
+        assert wd.check_claimed_model(problem, claimed, run).ok
+        assert lists and all(b is run for b in lists)
 
     def test_budget_stops_invariant_generation(self):
         # Disjointified, the S3 points have 12 block variables: their orbit

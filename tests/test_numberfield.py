@@ -213,6 +213,21 @@ class TestTraceReconstruction:
         with pytest.raises(wd.SingularBasis, match="not a basis of L over Q"):
             wd.basis_matrix(group, dependent)
 
+    def test_identity_listed_second(self, qi):
+        # [DERIVED] with the images listed as [-i, i] the identity is row 1,
+        # and lambda is still (1/2, -i/2); solving for row 0 instead would
+        # give (1/2, i/2), which rebuilds -i from P = i.
+        group = wd.GaloisGroup(qi, [-qi.gen, qi.gen])
+        assert group.identity_index == 1
+        basis = wd.power_basis(qi)
+        lam = wd.solve_trace_coefficients(wd.basis_matrix(group, basis))
+        assert lam == (qi.rational(Fraction(1, 2)), qi.element([0, Fraction(-1, 2)]))
+        for p in (qi.gen, qi.element([3, Fraction(-2, 7)])):
+            rebuilt = qi.zero
+            for lj, ej in zip(lam, basis):
+                rebuilt = rebuilt + lj * group.trace(ej * p)
+            assert rebuilt == p
+
     def test_reconstruction_cubic(self, cubic, cubic_group):
         basis = wd.power_basis(cubic)
         lam = wd.solve_trace_coefficients(wd.basis_matrix(cubic_group, basis))
