@@ -18,8 +18,9 @@ The budget is a single-element list of remaining reduction steps, decremented
 in place so one cap can span a whole pipeline.  This module owns the run's
 list: each public entry point of the package opens _run(budget), which makes
 that list the active run's (one contextvars.ContextVar, PEP 567), and every
-step spent below it, in the kernel, the invariant echelon, substitutions and
-fraction normal forms, draws from it through _as_budget(None).  Outside any
+step spent below it, in the kernel, the invariant echelon, substitutions,
+fraction normal forms and the irreducibility test, draws from it through
+_as_budget(None).  Outside any
 run, None means a fresh list of DEFAULT_BUDGET steps.
 """
 

@@ -32,7 +32,6 @@ from .groebner import (
     _reduced_denominator,
     _run,
     _second_block,
-    ideals_equal,
     normal_form,
     saturate,
 )
@@ -43,10 +42,9 @@ from .multipoly import (
     RationalMap,
     compose_map,
     identity_map,
-    poly_trace,
     _substitute_fraction,
 )
-from .numberfield import GaloisGroup, power_basis
+from .numberfield import GaloisGroup
 
 __all__ = [
     "AffineVariety",
@@ -71,11 +69,11 @@ class AffineVariety:
 
     __slots__ = ("ring", "generators", "ideal")
 
-    def __init__(self, ring: PolyRing, generators, budget=None):
+    def __init__(self, ring: PolyRing, generators):
         self.ring = ring
         self.ideal = Ideal(ring, generators)
         self.generators = self.ideal.generators
-        if self.ideal.is_unit(budget=budget):
+        if self.ideal.is_unit():
             raise InputError("the given equations have no common zero (unit ideal)")
 
     def __repr__(self):
@@ -350,27 +348,19 @@ def build_phi(d: DescentDatum, budget=None):
 # -- the pipeline -----------------------------------------------------------------------
 
 
-def _trace_descend_generators(ideal: Ideal, group):
-    """Replace non-rational generators by their trace family; verify equality.
+def _trace_descend_generators(ideal: Ideal):
+    """The ideal on generators over the fixed field, for a sigma-stable ideal.
 
-    An ideal whose generators are all rational is returned itself, with the
-    bases already cached on it.
+    An ideal whose generators are all rational is returned itself.  Otherwise
+    its reduced grevlex basis, which _sigma_stable has found fixed term by
+    term, and so rational, generates it; the new ideal keeps every basis
+    already cached on the old one.
     """
     if all(F.has_rational_coefficients() for F in ideal.generators):
         return ideal
-    basis = power_basis(ideal.ring.field)
-    out = []
-    for F in ideal.generators:
-        if F.has_rational_coefficients():
-            out.append(F)
-            continue
-        for e in basis:
-            T = poly_trace(F.scale(e), group)
-            if not T.is_zero():
-                out.append(T)
-    descended = Ideal(ideal.ring, out)
-    if not ideals_equal(descended, ideal):
-        raise VerificationError("trace descent changed the ideal")
+    gb = ideal.groebner_basis(order=MonomialOrder("grevlex"))
+    descended = Ideal(ideal.ring, [g.transplant(ideal.ring) for g in gb.elements])
+    descended._gb_cache.update(ideal._gb_cache)
     return descended
 
 
@@ -389,34 +379,30 @@ def _sigma_stable(ideal: Ideal, group) -> bool:
 
 
 def _certify_y(y_ideal: Ideal, group, certificates):
-    """Certify Y sigma-stable, then trace-descend it to rational generators.
+    """Certify Y sigma-stable, then read its generators over the fixed field.
 
     Records y_sigma_stable and y_rational_generators in `certificates` and
-    returns the descended ideal; a failed certificate raises.
+    returns Y on those generators; a failed certificate raises.
     """
     certificates["y_sigma_stable"] = _sigma_stable(y_ideal, group)
     if not certificates["y_sigma_stable"]:
         raise VerificationError("Y is not stable under the group action")
-    y_ideal = _trace_descend_generators(y_ideal, group)
+    y_ideal = _trace_descend_generators(y_ideal)
     certificates["y_rational_generators"] = all(
         g.has_rational_coefficients() for g in y_ideal.generators
     )
     if not certificates["y_rational_generators"]:
-        raise VerificationError("trace descent left non-rational generators")
+        raise VerificationError("Y has no generators over the fixed field")
     return y_ideal
 
 
-def _x_stable_and_trivial(d: DescentDatum):
-    group = d.group
+def _x_stable_and_trivial(d: DescentDatum) -> bool:
+    """Whether X is fixed by every sigma and every f_sigma is the identity on X."""
     X = d.variety
-    if not _sigma_stable(X.ideal, group):
-        return False
     ident = identity_map(X.ring)
-    for s in group:
-        equal, _ = maps_equal_mod_ideal(d.maps[s], ident, X.ideal)
-        if not equal:
-            return False
-    return True
+    return _sigma_stable(X.ideal, d.group) and all(
+        maps_equal_mod_ideal(d.maps[s], ident, X.ideal)[0] for s in d.group
+    )
 
 
 def descend(
@@ -431,75 +417,65 @@ def descend(
     """
     with _run(budget):
         group = d.group
-        verify_datum(d, strict=True)
+        X = d.variety
+        datum_checks = verify_datum(d, strict=True).checks
         certificates = {
-            "datum_cocycle": True,
-            "datum_into_conjugate": True,
+            name: all(ok for label, ok, _ in datum_checks if label.startswith(kind))
+            for name, kind in (("datum_cocycle", "cocycle"),
+                               ("datum_into_conjugate", "into-conjugate"))
         }
 
+        graph, pruned = None, ()
         if _x_stable_and_trivial(d):
             # X is fixed by every sigma and the datum is trivial: X is already a
-            # model over the fixed field after trace-descending its generators.
-            certificates["disjoint_conjugates"] = True
-            y_ideal = _certify_y(d.variety.ideal, group, certificates)
-            R = identity_map(d.variety.ring)
-            certificates.update(descent_relation=True, inverse_recovered=True)
-            return DescentResult(
-                group=group,
-                datum=d,
-                y_ring=d.variety.ring,
-                y_generators=y_ideal.generators,
-                y_ideal=y_ideal,
-                map=R,
-                inverse=R,
-                certificates=certificates,
-                invariant_count=d.variety.ring.nvars,
+            # model over the fixed field, with R the identity.  No Phi is built,
+            # so no disjointness is certified, and no coordinate is pruned.
+            R, y_ideal, invariant_count = identity_map(X.ring), X.ideal, X.ring.nvars
+        else:
+            dd = disjointify(d)
+
+            # Certify disjointness of the working model's conjugates: disjointify
+            # returns its input only after finding every pair disjoint.
+            disjoint = dd is d or _conjugates_disjoint(dd.variety, group)
+            certificates["disjoint_conjugates"] = disjoint
+            if not disjoint:
+                raise VerificationError("conjugate models are not pairwise disjoint")
+
+            action = _phi_action(dd)
+            phi = _phi_map(dd)
+            invars = generate_invariants(action)
+            invariant_count = len(invars)
+
+            # Certify the invariance and rationality of the generators (exact).
+            certificates["psi_theta_invariant"] = all(
+                action.is_invariant(E) for E in invars
             )
+            certificates["psi_rational"] = all(
+                E.has_rational_coefficients() for E in invars
+            )
+            if not (certificates["psi_theta_invariant"] and certificates["psi_rational"]):
+                raise VerificationError("invariant generators failed their certificates")
 
-        dd = disjointify(d)
-        X = d.variety
+            taken = set(X.ring.variables)
+            tnames = tuple(_fresh_name(f"t{k + 1}", taken) for k in range(len(invars)))
+            psi = RationalMap(action.ring, [(E, action.ring.one) for E in invars],
+                              normalize=False)
+            R = compose_map(psi, phi)
+            R = _reduce_map(R, dd.variety.ideal.groebner_basis())
+            if dd is not d:
+                R = _restrict_to_original(d, R)
 
-        # Certify disjointness of the working model's conjugates: disjointify
-        # returns its input only after finding every pair disjoint.
-        disjoint = dd is d or _conjugates_disjoint(dd.variety, group)
-        certificates["disjoint_conjugates"] = disjoint
-        if not disjoint:
-            raise VerificationError("conjugate models are not pairwise disjoint")
+            # Y is the image of R, eliminated from the graph basis; _reduce_map
+            # has already rejected a denominator vanishing on X.  The same graph
+            # basis gives R^-1 below unless pruning changes the target
+            # coordinates.
+            graph = _graph_basis(R, X.ideal, tnames)
+            y_ideal = _second_block(*graph)
 
-        action = _phi_action(dd)
-        phi = _phi_map(dd)
-        invars = generate_invariants(action)
-
-        # Certify the invariance and rationality of the generators (exact).
-        certificates["psi_theta_invariant"] = all(
-            action.is_invariant(E) for E in invars
-        )
-        certificates["psi_rational"] = all(
-            E.has_rational_coefficients() for E in invars
-        )
-        if not (certificates["psi_theta_invariant"] and certificates["psi_rational"]):
-            raise VerificationError("invariant generators failed their certificates")
-
-        taken = set(X.ring.variables)
-        tnames = tuple(_fresh_name(f"t{k + 1}", taken) for k in range(len(invars)))
-        psi = RationalMap(action.ring, [(E, action.ring.one) for E in invars],
-                          normalize=False)
-        R = compose_map(psi, phi)
-        R = _reduce_map(R, dd.variety.ideal.groebner_basis())
-        if dd is not d:
-            R = _restrict_to_original(d, R)
-
-        # Y is the image of R, eliminated from the graph basis; _reduce_map has
-        # already rejected a denominator vanishing on X.  The same graph basis
-        # gives R^-1 below unless pruning changes the target coordinates.
-        graph = _graph_basis(R, X.ideal, tnames)
-        y_ideal = _second_block(*graph)
-
-        # Pruning reads only reduced bases, which depend on the ideal alone, so
-        # Y is certified once, on its final coordinates.
-        pruned = ()
-        if prune:
-            y_ideal, R, pruned = _prune_coordinates(y_ideal, R)
+            # Pruning reads only reduced bases, which depend on the ideal alone,
+            # so Y is certified once, on its final coordinates.
+            if prune:
+                y_ideal, R, pruned = _prune_coordinates(y_ideal, R)
         y_ideal = _certify_y(y_ideal, group, certificates)
 
         for s in group:
@@ -512,17 +488,17 @@ def descend(
 
         inverse = None
         if want_inverse:
-            if pruned:
+            if graph is None:
+                inverse = R
+            elif pruned:
                 inverse = recover_inverse(R, X.ideal, y_ideal)
             else:
                 inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal)
-        certificates["inverse_recovered"] = inverse is not None
-
         if inverse is not None:
             checks = _verify_inverse(R, inverse, X.ideal, y_ideal)
             if not all(ok for ok, _ in checks):
                 inverse = None
-                certificates["inverse_recovered"] = False
+        certificates["inverse_recovered"] = inverse is not None
 
         return DescentResult(
             group=group,
@@ -533,7 +509,7 @@ def descend(
             map=R,
             inverse=inverse,
             certificates=certificates,
-            invariant_count=len(invars),
+            invariant_count=invariant_count,
             pruned=pruned,
         )
 
@@ -592,13 +568,8 @@ def _inverse_from_graph(gb, split, n, I_Y: Ideal):
         # g = c(t) * x_i + b(t)
         c_terms, b_terms = {}, {}
         for m, coeff in g.terms.items():
-            mm = list(m[split:])
-            if m[i] == 1:
-                c_terms[tuple(mm)] = coeff
-            else:
-                b_terms[tuple(mm)] = coeff
-        c = MultiPoly(target, {m: c for m, c in c_terms.items()})
-        b = MultiPoly(target, {m: c for m, c in b_terms.items()})
+            (c_terms if m[i] == 1 else b_terms)[m[split:]] = coeff
+        c, b = MultiPoly(target, c_terms), MultiPoly(target, b_terms)
         if normal_form(c, y_gb).is_zero():
             continue
         found[i] = (-b, c)

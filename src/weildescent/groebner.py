@@ -48,17 +48,17 @@ class Ideal:
     def __repr__(self):
         return f"Ideal<{', '.join(str(g) for g in self.generators)}>"
 
-    def groebner_basis(self, order=None, budget=None) -> "GroebnerBasis":
+    def groebner_basis(self, order=None) -> "GroebnerBasis":
         order = order or self.ring.order
         cached = self._gb_cache.get(order)
         if cached is not None:
             return cached
-        gb = groebner(self, order, budget)
+        gb = groebner(self, order)
         self._gb_cache[order] = gb
         return gb
 
-    def is_unit(self, budget=None) -> bool:
-        gb = self.groebner_basis(budget=budget)
+    def is_unit(self) -> bool:
+        gb = self.groebner_basis()
         return len(gb.elements) == 1 and gb.elements[0].is_constant()
 
     def is_zero(self) -> bool:
@@ -90,17 +90,17 @@ def groebner(I: Ideal, order=None, budget=None) -> GroebnerBasis:
     """The reduced Groebner basis of I under the given order."""
     order = order or I.ring.order
     gens = [g.terms for g in I.generators]
-    divisors = kernel.buchberger(gens, order.key, _as_budget(budget))
+    with _run(budget):
+        divisors = kernel.buchberger(gens, order.key, _as_budget(None))
     ring = I.ring if I.ring.order == order else I.ring.with_order(order)
     return GroebnerBasis(ring, divisors)
 
 
-def normal_form(P: MultiPoly, gb: GroebnerBasis, budget=None) -> MultiPoly:
+def normal_form(P: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
     """Unique remainder of P modulo the basis; zero iff P is in the ideal."""
     if P.ring.variables != gb.ring.variables or P.ring.field != gb.ring.field:
         raise InputError("polynomial and basis live in different rings")
-    budget = _as_budget(budget)
-    rem = kernel.normal_form(P.terms, gb.divisors, gb.ring.order.key, budget)
+    rem = kernel.normal_form(P.terms, gb.divisors, gb.ring.order.key, _as_budget(None))
     return MultiPoly(gb.ring, rem)
 
 
@@ -160,7 +160,7 @@ def _fresh_name(name, taken):
     return name
 
 
-def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
+def saturate(I: Ideal, h: MultiPoly) -> Ideal:
     """I : h^infinity: the auxiliary variable t eliminated from I + <1 - t*h>.
 
     I keeps the result, keyed on h, so saturating by h again is free.
@@ -175,7 +175,7 @@ def saturate(I: Ideal, h: MultiPoly, budget=None) -> Ideal:
     big = PolyRing(ring.field, (aux,) + ring.variables)
     gens = [g.transplant(big) for g in I.generators]
     gens.append(big.one - big.var(aux) * h.transplant(big))
-    sat = eliminate(Ideal(big, gens), [aux], budget)
+    sat = eliminate(Ideal(big, gens), [aux])
     if sat.ring != ring:
         # A lex caller gets the generators back in its own ring.
         sat = Ideal(ring, [g.transplant(ring) for g in sat.generators])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from ._pykernel import _as_budget, _spend
+from ._pykernel import _as_budget, _run, _spend
 from .errors import InputError, ResourceLimit
 from .multipoly import MonomialOrder, MultiPoly, PolyRing
 
@@ -130,10 +130,11 @@ def generate_invariants(action: BlockPermutationAction, budget=None):
         by_rep.sort(key=lambda t: t[0])
         for _, orbit in by_rep:
             raw.append(MultiPoly(action.ring, {m: one for m in orbit}))
-    return minimize_generators(raw, budget)
+    with _run(budget):
+        return minimize_generators(raw)
 
 
-def minimize_generators(gens, budget=None):
+def minimize_generators(gens):
     """Keep each generator that is not in the subalgebra of those kept before it.
 
     The generators must be homogeneous.  They are taken in canonical order,
@@ -142,9 +143,9 @@ def minimize_generators(gens, budget=None):
     products of them, so each degree needs one exact echelon: it starts from
     the products of the kept lower-degree generators and takes in each kept
     generator of degree d.  The kept generators are returned in input order.
-    The products and row subtractions draw from the budget.
+    The products and row subtractions draw from the active run's budget.
     """
-    budget = _as_budget(budget)
+    budget = _as_budget(None)
     if any(len({sum(m) for m in g.terms}) > 1 for g in gens):
         raise InputError("minimize_generators needs homogeneous generators")
     order = sorted(

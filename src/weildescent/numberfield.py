@@ -18,6 +18,7 @@ from itertools import combinations, islice
 from math import gcd, isqrt, lcm
 from operator import add, neg, sub
 
+from ._pykernel import _as_budget, _spend
 from .errors import InputError, SingularBasis, ZeroDenominator
 
 __all__ = [
@@ -58,7 +59,8 @@ def _poly_is_irreducible(coeffs):
        bound of Mignotte on the coefficients of a factor.  Each product of at
        most r/2 of the r lifted factors whose degree survived step 3 is
        reduced to the symmetric range and tried as an exact divisor of g in
-       Z[t]; g is irreducible if none divides it.
+       Z[t]; g is irreducible if none divides it.  Each subset of lifted
+       factors spends one step of the active run's budget.
     """
     m = len(coeffs) - 1
     if m == 1:
@@ -88,8 +90,10 @@ def _poly_is_irreducible(coeffs):
     while M * M <= 4 ** (m + 1) * sum(c * c for c in g):
         M *= M
     lifted = _hensel_lift(g, factors, p, M)
+    budget = _as_budget(None)
     for size in range(1, r // 2 + 1):
         for subset in combinations(lifted, size):
+            _spend(budget)
             if sum(len(u) - 1 for u in subset) not in allowed:
                 continue
             h = [1]

@@ -80,14 +80,12 @@ def parse_sections(text: str):
     return sections
 
 
-def _single(entries, key, lineno_hint="", required=True):
+def _single(entries, key):
     vals = [v for k, v, _ in entries if k == key]
     if not vals:
-        if required:
-            raise InputError(f"missing required key {key!r}{lineno_hint}")
-        return None
+        raise InputError(f"missing required key {key!r}")
     if len(vals) > 1:
-        raise InputError(f"key {key!r} given more than once{lineno_hint}")
+        raise InputError(f"key {key!r} given more than once")
     return vals[0]
 
 
@@ -139,15 +137,12 @@ def _split_values(value):
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-_OPTION_KEYS = {"order", "budget", "prune", "inverse"}
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 def _parse_options(entries):
     opts = {}
     for key, value, lineno in entries:
-        if key not in _OPTION_KEYS:
-            raise InputError(f"line {lineno}: unknown option {key!r}")
         if key == "order":
             if value not in ("grevlex", "lex"):
                 raise InputError(f"line {lineno}: order must be grevlex or lex")
@@ -159,7 +154,7 @@ def _parse_options(entries):
                 raise InputError(f"line {lineno}: budget must be an integer")
             if opts[key] <= 0:
                 raise InputError(f"line {lineno}: budget must be positive")
-        else:
+        else:  # prune or inverse
             if value.lower() not in _BOOL:
                 raise InputError(f"line {lineno}: {key} must be true or false")
             opts[key] = _BOOL[value.lower()]
@@ -172,14 +167,12 @@ def _parse_components(entries, ring, where):
     for key, value, lineno in entries:
         if key == "component":
             comps.append([parse_poly(value, ring)])
-        elif key == "denominator":
-            if not comps or len(comps[-1]) == 2:
-                raise InputError(
-                    f"line {lineno}: denominator without its own component in {where}"
-                )
+        elif comps and len(comps[-1]) == 1:
             comps[-1].append(parse_poly(value, ring))
         else:
-            raise InputError(f"line {lineno}: unknown key {key!r} in {where}")
+            raise InputError(
+                f"line {lineno}: denominator without its own component in {where}"
+            )
     return [(c[0], c[1] if len(c) == 2 else ring.one) for c in comps]
 
 
@@ -195,23 +188,40 @@ def _variable_names(entries, gen_name, where):
     return names
 
 
-def _check_keys(entries, known, where):
-    for key, _, lineno in entries:
-        if key not in known:
-            raise InputError(f"line {lineno}: unknown key {key!r} in {where}")
+# Allowed keys per section ("datum.*" stands for every [datum.<label>]);
+# None lets any key through.
+_COMPONENT_KEYS = {"component", "denominator"}
+_PROBLEM_KEYS = {
+    "field": {"minpoly", "generator"},
+    "galois": None,  # the keys are the automorphism labels
+    "variety": {"variables", "equation"},
+    "options": {"order", "budget", "prune", "inverse"},
+    "datum.*": _COMPONENT_KEYS,
+}
+_CLAIMED_KEYS = {
+    "Y": {"variables", "equation"},
+    "map": _COMPONENT_KEYS,
+    "inverse": _COMPONENT_KEYS,
+    "certificates": None,
+}
 
 
-def _sections_by_name(sections, known):
-    """{name: entries}; a section not in `known` ("datum.*" stands for every
-    [datum.<label>]) is an error, and so is a repeated one, except
+def _sections_by_name(sections, allowed):
+    """{name: entries}.  A section missing from `allowed`, or a key missing
+    from its section's set, is an error, and so is a repeated section, except
     [datum.*], whose repeats are reported by label."""
     by_name = {}
     for name, entries in sections:
         datum = name.startswith("datum.")
-        if ("datum.*" if datum else name) not in known:
+        kind = "datum.*" if datum else name
+        if kind not in allowed:
             raise InputError(f"unknown section [{name}]")
         if name in by_name and not datum:
             raise InputError(f"duplicate section [{name}]")
+        keys = allowed[kind]
+        for key, _, lineno in entries:
+            if keys is not None and key not in keys:
+                raise InputError(f"line {lineno}: unknown key {key!r} in [{name}]")
         by_name.setdefault(name, entries)
     return by_name
 
@@ -220,48 +230,43 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
     """Parse a problem file.
 
     `order` ("grevlex" or "lex") overrides [options] order and `budget` (an
-    int) overrides [options] budget.  The budget is converted once: checking
-    the equations and normalising the datum maps while loading draw from it,
-    and it is kept as ProblemFile.budget for the run.
+    int) overrides [options] budget.  The budget is converted once: testing
+    the minimal polynomial, checking the equations and normalising the datum
+    maps while loading draw from it, and it is kept as ProblemFile.budget for
+    the run.
     """
     sections = parse_sections(text)
-    by_name = _sections_by_name(
-        sections, {"field", "galois", "variety", "options", "datum.*"}
-    )
-
-    if "field" not in by_name:
-        raise InputError("missing [field] section")
-    gen_name = _single(by_name["field"], "generator")
-    if not _NAME_RE.fullmatch(gen_name):
-        raise InputError(f"invalid generator name {gen_name!r}")
-    minpoly = _parse_minpoly(_single(by_name["field"], "minpoly"))
-    field = NumberField(minpoly, gen_name=gen_name)
-
-    if "galois" not in by_name:
-        raise InputError("missing [galois] section")
-    labels = []
-    images = []
-    for key, value, lineno in by_name["galois"]:
-        if key in labels:
-            raise InputError(f"line {lineno}: duplicate automorphism label {key!r}")
-        labels.append(key)
-        images.append(_parse_scalar(value, field, f"line {lineno}"))
-    group = GaloisGroup(field, images)
-
-    if "variety" not in by_name:
-        raise InputError("missing [variety] section")
-    var_names = _variable_names(by_name["variety"], gen_name, "[variety]")
+    by_name = _sections_by_name(sections, _PROBLEM_KEYS)
+    for name in ("field", "galois", "variety"):
+        if name not in by_name:
+            raise InputError(f"missing [{name}] section")
     options = _parse_options(by_name.get("options", []))
     order_name = order or options.get("order", "grevlex")
     budget = _as_budget(budget if budget is not None else options.get("budget"))
-    ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
-    _check_keys(by_name["variety"], ("variables", "equation"), "[variety]")
-    equations = [
-        parse_poly(value, ring)
-        for key, value, _ in by_name["variety"]
-        if key == "equation"
-    ]
+
     with _run(budget):
+        gen_name = _single(by_name["field"], "generator")
+        if not _NAME_RE.fullmatch(gen_name):
+            raise InputError(f"invalid generator name {gen_name!r}")
+        minpoly = _parse_minpoly(_single(by_name["field"], "minpoly"))
+        field = NumberField(minpoly, gen_name=gen_name)
+
+        labels = []
+        images = []
+        for key, value, lineno in by_name["galois"]:
+            if key in labels:
+                raise InputError(f"line {lineno}: duplicate automorphism label {key!r}")
+            labels.append(key)
+            images.append(_parse_scalar(value, field, f"line {lineno}"))
+        group = GaloisGroup(field, images)
+
+        var_names = _variable_names(by_name["variety"], gen_name, "[variety]")
+        ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
+        equations = [
+            parse_poly(value, ring)
+            for key, value, _ in by_name["variety"]
+            if key == "equation"
+        ]
         variety = AffineVariety(ring, equations)
 
         maps = {}
@@ -314,14 +319,10 @@ class ClaimedModel:
 
 
 def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
-    by_name = _sections_by_name(
-        parse_sections(text), {"Y", "map", "inverse", "certificates"}
-    )
-    if "Y" not in by_name:
-        raise InputError("claimed document misses the [Y] section")
-    if "map" not in by_name:
-        raise InputError("claimed document misses the [map] section")
-    _check_keys(by_name["Y"], ("variables", "equation"), "[Y]")
+    by_name = _sections_by_name(parse_sections(text), _CLAIMED_KEYS)
+    for name in ("Y", "map"):
+        if name not in by_name:
+            raise InputError(f"claimed document misses the [{name}] section")
     field = problem.field
     y_vars = _variable_names(by_name["Y"], field.gen_name, "[Y]")
     y_ring = PolyRing(field, tuple(y_vars))

@@ -21,7 +21,8 @@ def read_fixture(name):
 # file and flags that write it.  Pruned: a non-integral minimal polynomial,
 # a datum with a denominator, and points over the cyclic cubic field whose
 # conjugates meet.  Unpruned: Y read straight off the graph basis, in every
-# invariant coordinate.
+# invariant coordinate.  Stable and trivial: X is its own model, R the
+# identity.
 DOCUMENTED_FIXTURES = {
     "conic_half": ("conic_half", ["--prune"]),
     "twisted_conic": ("twisted_conic", ["--prune"]),
@@ -32,6 +33,9 @@ DOCUMENTED_FIXTURES = {
     "twisted_conic_unpruned": ("twisted_conic", []),
     "twisted_conic_lex": ("twisted_conic", ["--prune", "--order", "lex"]),
     "twisted_conic_lex_unpruned": ("twisted_conic", ["--order", "lex"]),
+    "stable": ("stable", []),
+    "stable_no_inverse": ("stable", ["--no-inverse"]),
+    "trivial": ("trivial", []),
 }
 
 

@@ -14,6 +14,29 @@ from weildescent.problemfile import load_problem
 from tests.conftest import DOCUMENTED_FIXTURES, FIXTURES, fixture_path, read_fixture
 
 
+# The field of sqrt 2 + sqrt 3 + sqrt 5, whose minimal polynomial is
+# reducible modulo every prime: its irreducibility test recombines lifted
+# factors, 10 subsets.  The point x1 = 0 with the identity datum keeps the
+# rest of a run cheap.
+_OCTIC_IMAGES = [
+    "a",
+    "59/6*a - 95/18*a^3 + 97/144*a^5 - 5/288*a^7",
+    "-13/2*a + 61/12*a^3 - 37/48*a^5 + 1/48*a^7",
+    "7/3*a - 7/36*a^3 - 7/72*a^5 + 1/288*a^7",
+    "-7/3*a + 7/36*a^3 + 7/72*a^5 - 1/288*a^7",
+    "13/2*a - 61/12*a^3 + 37/48*a^5 - 1/48*a^7",
+    "-59/6*a + 95/18*a^3 - 97/144*a^5 + 5/288*a^7",
+    "-a",
+]
+OCTIC_POINT = "\n".join(
+    ["[field]", "minpoly = t^8 - 40*t^6 + 352*t^4 - 960*t^2 + 576", "generator = a",
+     "[galois]"]
+    + [f"g{k} = {image}" for k, image in enumerate(_OCTIC_IMAGES)]
+    + ["[variety]", "variables = x1", "equation = x1"]
+    + [line for k in range(1, 8) for line in (f"[datum.g{k}]", "component = x1")]
+)
+
+
 def test_every_result_document_is_pinned():
     stems = {
         name[: -len("_result.txt")]
@@ -174,6 +197,33 @@ class TestVerifyDatum:
         assert code == 3
         assert "resource limit" in err
         assert products[0] < 1000
+
+
+    def test_unknown_key_in_field_exit_two(self, tmp_path, capsys):
+        # A misspelt key would otherwise be dropped without a word.
+        text = read_fixture("conic.txt")
+        assert "generator = i\n" in text
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace("generator = i\n", "generator = i\ngenrator = j\n"))
+        code, out, err = run(capsys, "verify-datum", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "unknown key 'genrator' in [field]" in err
+
+    def test_budget_covers_the_minimal_polynomial(self, tmp_path, capsys):
+        # Each recombined subset of the irreducibility test spends a step of
+        # the budget the problem is loaded with; nothing else in loading does.
+        path = tmp_path / "octic.txt"
+        path.write_text(OCTIC_POINT)
+        problem = load_problem(str(path), budget=DEFAULT_BUDGET)
+        assert DEFAULT_BUDGET - problem.budget[0] == 10
+        code, out, err = run(capsys, "verify-datum", str(path), "--budget", "5")
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+        code, out, _ = run(capsys, "verify-datum", str(path))
+        assert code == 0
+        assert out.endswith("result = pass\n")
 
 
 class TestDescend:

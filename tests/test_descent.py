@@ -372,6 +372,27 @@ class TestDescend:
         assert res.map.components == wd.identity_map(ring).components
         assert all(res.certificates.values())
 
+    @pytest.mark.parametrize("name", ["stable", "trivial"])
+    def test_stable_path_honours_no_inverse(self, name):
+        d = load_problem_text(read_fixture(f"{name}.txt")).datum
+        res = wd.descend(d, want_inverse=False)
+        assert res.inverse is None
+        assert res.certificates["inverse_recovered"] is False
+        # No Phi is built, so no disjointness is certified.
+        assert "disjoint_conjugates" not in res.certificates
+
+    def test_stable_path_reads_rational_generators(self, qi, qi_group):
+        # X is sigma-stable but given by an irrational generator; Y is read
+        # off its reduced basis, not traced.
+        ring = wd.PolyRing(qi, ("x1", "x2"))
+        X = wd.AffineVariety(ring, [p("i*x1^2 + i*x2^2 - i", ring)])
+        d = wd.DescentDatum(X, qi_group, {1: wd.identity_map(ring)})
+        res = wd.descend(d)
+        assert [str(g) for g in res.y_generators] == ["x1^2 + x2^2 - 1"]
+        assert res.y_ring == ring
+        assert res.inverse is not None
+        assert all(res.certificates.values())
+
     def test_budget_starved_run(self, humbert):
         with pytest.raises(wd.ResourceLimit):
             wd.descend(humbert, budget=5)
@@ -383,8 +404,7 @@ class TestDescend:
 
     def test_relation_checked_once_per_group_element(self, monkeypatch):
         # twisted_conic is disjointified; R is checked on X, not also on the
-        # working model.
-        d = load_problem_text(read_fixture("twisted_conic.txt")).datum
+        # working model.  stable takes the identity as R, and checks it too.
         calls = []
         relation = descent._relation
 
@@ -393,9 +413,12 @@ class TestDescend:
             return relation(R, datum, s)
 
         monkeypatch.setattr(descent, "_relation", counted)
-        res = wd.descend(d)
-        assert all(res.certificates.values())
-        assert sorted(calls) == list(d.group)
+        for name in ("twisted_conic", "stable"):
+            d = load_problem_text(read_fixture(f"{name}.txt")).datum
+            calls.clear()
+            res = wd.descend(d)
+            assert all(res.certificates.values())
+            assert sorted(calls) == list(d.group)
 
     def test_determinism(self, humbert):
         a = wd.descend(humbert, prune=True)
