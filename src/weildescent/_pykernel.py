@@ -11,8 +11,24 @@ terms) pairs.  weildescent.kernel re-exports the two entry points.
 - Division keeps the polynomial being reduced as a dict plus a heap of its
   monomials, so each step pops the largest term instead of scanning every
   term (Monagan & Pearce, CASC 2007).
-- Each call to buchberger or normal_form computes the order key of a
-  monomial at most once, in a memo that lives only as long as that call.
+- Inside a call a monomial is one int, its exponents packed into fields of
+  w bits, variable i in bits i*w .. i*w + w - 1, the top bit of each field a
+  guard that is clear in every monomial (Monagan & Pearce's packed exponent
+  vectors).  With G the mask of the guard bits, a product is a + b, b divides
+  a when ((a | G) - b) & G == G, and the same mask picks the larger field of
+  each variable for an lcm.
+- The order key of a monomial is one int as well: its key tuple read as the
+  digits of a number in a base larger than twice any digit of a monomial
+  that fits the fields.  MonomialOrder keys are linear in the exponents, so
+  that int is a dot product with weights read off the key of each unit
+  vector, and the key of a product is the sum of the keys.  The heap holds
+  negated keys, so heapq pops the largest monomial first.
+- Fields start 16 bits wide.  An input exponent, or a product that would
+  not fit them, raises _Overflow before anything is stored; the call then
+  resets the budget to what it was on entry and starts again with fields
+  twice as wide, so each step is counted once.  Exponent tuples and ints are
+  converted only on the way in and out.  The layout and the weights are
+  derived once per (order, number of variables, field width) and kept.
 
 The budget is a single-element list of remaining reduction steps, decremented
 in place so one cap can span a whole pipeline.  This module owns the run's
@@ -25,9 +41,11 @@ run, None means a fresh list of DEFAULT_BUDGET steps.
 """
 
 import heapq
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import add, le, neg, sub
+from operator import itemgetter, mul
+from types import FunctionType
 
 from .errors import ResourceLimit
 
@@ -66,79 +84,221 @@ def _run(budget=None):
         _RUN_BUDGET.reset(token)
 
 
-class _NegKeys(dict):
-    """monomial -> its order key negated, so that heapq pops the largest
-    monomial first.  Filled on first lookup; one per kernel call."""
-
-    __slots__ = ("keyf",)
-
-    def __init__(self, keyf):
-        self.keyf = keyf
-
-    def __missing__(self, m):
-        k = self[m] = tuple(map(neg, self.keyf(m)))
-        return k
-
-
 def _spend(budget, amount=1):
     budget[0] -= amount
     if budget[0] < 0:
         raise ResourceLimit("reduction budget exceeded")
 
 
-def _make_monic(terms, nkeys):
-    """(lead monomial, monic terms): the divisor form of a nonzero polynomial."""
-    lead = min(terms, key=nkeys.__getitem__)
-    inv = terms[lead].inverse()
-    return lead, {m: c * inv for m, c in terms.items()}
+class _Overflow(Exception):
+    """A monomial outgrew its packed fields; the call starts again wider."""
 
 
-def _reduce(f, basis, nkeys, budget):
-    """Remainder of f modulo a list of (lead_mono, terms_dict) monic divisors.
+_FIRST_WIDTH = 16
+_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}
+# (order, number of variables, field width) -> _Packing, filled on first use.
+# Each entry is a function of its key alone, so no caller sees another's.
+_PACKINGS = {}
 
-    h holds the terms still to reduce.  heap holds (negated key, monomial)
-    for each monomial as it enters h; an entry whose monomial has since
+
+class _Packing:
+    """Packed monomials and negated int keys for one order, number of
+    variables and field width."""
+
+    __slots__ = ("width", "guard", "pack", "unpack", "weights")
+
+    def __init__(self, keyf, nvars, width):
+        shifts = range(0, nvars * width, width)
+        limit = 1 << (width - 1)
+        self.width = width
+        self.guard = guard = sum(limit << s for s in shifts)
+        code = _STRUCT_CODES.get(width)
+        if code is not None:
+            layout = struct.Struct(f"<{nvars}{code}")
+            size, from_bytes = layout.size, int.from_bytes
+
+            def pack(e):
+                try:
+                    m = from_bytes(layout.pack(*e), "little")
+                except struct.error:
+                    raise _Overflow from None
+                if m & guard:
+                    raise _Overflow
+                return m
+
+            def unpack(m):
+                return layout.unpack(m.to_bytes(size, "little"))
+        else:
+            field = limit - 1
+
+            def pack(e):
+                if max(e, default=0) >= limit:
+                    raise _Overflow
+                return sum(x << s for x, s in zip(e, shifts))
+
+            def unpack(m):
+                return tuple((m >> s) & field for s in shifts)
+
+        self.pack, self.unpack = pack, unpack
+        rows = list(zip(*_unit_keys(keyf, nvars)))
+        digit = max((sum(map(abs, row)) for row in rows), default=0) * (limit - 1)
+        base = 1 << (digit.bit_length() + 1)
+        key = [0] * nvars
+        for row in rows:
+            key = [k * base + x for k, x in zip(key, row)]
+        self.weights = tuple(-k for k in key)
+
+    def terms(self, poly):
+        """(negated key, monomial, coefficient) triples of a dict polynomial."""
+        pack, weights = self.pack, self.weights
+        return [(sum(map(mul, e, weights)), pack(e), c) for e, c in poly.items()]
+
+    def lcm(self, a, b):
+        """The least common multiple of two packed monomials."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard    # guard bits of the fields where a >= b
+        fields = ge - (ge >> (self.width - 1))
+        return (a & fields) | (b & ~fields)
+
+
+def _unit_keys(keyf, nvars):
+    return [keyf(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+
+
+def _packing(keyf, nvars, width):
+    """The _Packing of keyf in nvars variables, built on first use.
+
+    A key function that closes over nothing is fixed by its code and
+    defaults, so every MonomialOrder of one kind and split shares an entry.
+    Any other key is told apart by its values on the unit vectors, which fix
+    a linear key.
+    """
+    if type(keyf) is FunctionType and keyf.__closure__ is None:
+        order = (keyf.__code__, keyf.__defaults__)
+    else:
+        order = tuple(_unit_keys(keyf, nvars))
+    pk = _PACKINGS.get((order, nvars, width))
+    if pk is None:
+        pk = _PACKINGS[order, nvars, width] = _Packing(keyf, nvars, width)
+    return pk
+
+
+def _packed(run, nvars, keyf, budget):
+    """run(packing), first with 16-bit fields, then twice as wide after each
+    _Overflow, with the budget reset to its value on entry."""
+    left = budget[0]
+    width = _FIRST_WIDTH
+    while True:
+        try:
+            return run(_packing(keyf, nvars, width))
+        except _Overflow:
+            budget[0] = left
+            width *= 2
+
+
+# A divisor is a list [lead, negated key of the lead, top, tail, lead
+# coefficient]: tail holds the (negated key, monomial, coefficient) triples
+# of the other terms, and top is the lcm of all its monomials, so that
+# shift + top fits the fields exactly when every product shift * term does.
+# normal_form packs only the leads of its divisors up front: the key slot is
+# None and the top slot holds the caller's terms dict until _fill runs.
+
+def _divisor(first, rest, pk):
+    """The divisor with lead triple first and other triples rest."""
+    top, lcm = first[1], pk.lcm
+    for t in rest:
+        top = lcm(top, t[1])
+    return [first[1], first[0], top, rest, first[2]]
+
+
+def _monic(terms, pk):
+    """The divisor of a nonzero polynomial given as triples, lead first."""
+    k0, lead, c0 = terms[0]
+    inv = c0.inverse()
+    tail = [(k, m, c * inv) for k, m, c in terms[1:]]
+    return _divisor((k0, lead, c0 * inv), tail, pk)
+
+
+def _fill(d, pk):
+    """Pack the terms of a divisor that normal_form was handed; its
+    coefficients are monic already."""
+    triples = pk.terms(d[2])
+    first = next(t for t in triples if t[1] == d[0])
+    triples.remove(first)
+    d[:] = _divisor(first, triples, pk)
+
+
+def _divisor_terms(d):
+    return [(d[1], d[0], d[4])] + d[3]
+
+
+def _reduce(f, basis, pk, budget):
+    """Remainder of f modulo a list of monic divisors, as (negated key,
+    monomial, coefficient) triples from the largest monomial down.
+
+    f is an iterable of such triples.  h maps the negated key of each term
+    still to reduce to its coefficient, and mono maps it to its monomial.
+    heap holds each negated key as it enters h; one whose term has since
     cancelled out of h is skipped when popped.
     """
-    h = dict(f)
-    heap = [(nkeys[m], m) for m in h]
+    guard = pk.guard
+    h, mono = {}, {}
+    for k, m, c in f:
+        h[k] = c
+        mono[k] = m
+    heap = list(h)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    remainder = {}
+    remainder = []
     while heap:
-        lead = pop(heap)[1]
-        c = h.pop(lead, None)
+        k = pop(heap)
+        c = h.pop(k, None)
         if c is None:
             continue
-        for bm, bt in basis:
-            if all(map(le, bm, lead)):
+        lead = mono[k]
+        lg = lead | guard
+        for d in basis:
+            if (lg - d[0]) & guard == guard:
                 break
         else:
-            remainder[lead] = c
+            remainder.append((k, lead, c))
             continue
         _spend(budget)
-        shift = tuple(map(sub, lead, bm))
-        for m, cc in bt.items():
-            if m == bm:
-                continue  # the lead term cancels exactly
-            mm = tuple(map(add, shift, m))
-            cur = h.get(mm)
+        if d[1] is None:
+            _fill(d, pk)
+        shift = lead - d[0]
+        if (shift + d[2]) & guard:
+            raise _Overflow
+        ks = k - d[1]
+        for kt, m, cc in d[3]:
+            kk = ks + kt
+            cur = h.get(kk)
             if cur is None:
-                h[mm] = -(c * cc)
-                push(heap, (nkeys[mm], mm))
+                h[kk] = -(c * cc)
+                mono[kk] = shift + m
+                push(heap, kk)
             else:
                 nxt = cur - c * cc
                 if nxt.is_zero():
-                    del h[mm]
+                    del h[kk]
                 else:
-                    h[mm] = nxt
+                    h[kk] = nxt
     return remainder
 
 
 def normal_form(f, divisors, keyf, budget):
     """Full remainder of f modulo (lead, monic terms) divisors, e.g. a basis
     as buchberger returns it."""
-    return _reduce(f, divisors, _NegKeys(keyf), budget)
+    if not f:
+        divisors = ()  # the remainder of 0 is 0: no divisor is packed
+
+    def run(pk):
+        pack = pk.pack
+        basis = [[pack(lead), None, terms, None, None] for lead, terms in divisors]
+        unpack = pk.unpack
+        return {unpack(m): c for _, m, c in _reduce(pk.terms(f), basis, pk, budget)}
+
+    return _packed(run, len(next(iter(f), ())), keyf, budget)
 
 
 def buchberger(gens, keyf, budget):
@@ -152,90 +312,125 @@ def buchberger(gens, keyf, budget):
     chain criteria.  Deterministic: identical inputs produce identical
     output lists.
     """
-    nkeys = _NegKeys(keyf)
-    start = [(_make_monic(terms, nkeys), max(map(sum, terms)))
-             for terms in gens if terms]
+    gens = [terms for terms in gens if terms]
+    if not gens:
+        return []
+
+    def run(pk):
+        unpack = pk.unpack
+        return [
+            (unpack(d[0]), {unpack(m): c for _, m, c in _divisor_terms(d)})
+            for d in _buchberger(gens, pk, budget)
+        ]
+
+    return _packed(run, len(next(iter(gens[0]))), keyf, budget)
+
+
+def _buchberger(gens, pk, budget):
+    start = []
+    for terms in gens:
+        triples = pk.terms(terms)
+        lead = min(triples)  # the least negated key
+        triples.remove(lead)
+        start.append((_monic([lead] + triples, pk), max(map(sum, terms))))
     # Ascending by key; reverse=True keeps equal leads in input order.
-    start.sort(key=lambda e: nkeys[e[0][0]], reverse=True)
-    basis = [divisor for divisor, _ in start]
-    sugar = [s for _, s in start]
+    start.sort(key=lambda e: e[0][1], reverse=True)
+    basis = [d for d, _ in start]
+    leads = [d[0] for d in basis]
+    unpack, guard, lcm_of, weights = pk.unpack, pk.guard, pk.lcm, pk.weights
+    degree = [sum(unpack(d[0])) for d in basis]
+    ecart = [s - deg for (_, s), deg in zip(start, degree)]  # sugar - deg lead
 
     pending = set()
     heap = []
 
     def push_pairs(j):
-        lj = basis[j][0]
-        ecart_j = sugar[j] - sum(lj)
+        dj, kj, ecart_j = degree[j], basis[j][1], ecart[j]
+        lj = leads[j]
         for i in range(j):
-            li = basis[i][0]
-            lcm = tuple(map(max, li, lj))
-            s = max(sugar[i] - sum(li), ecart_j) + sum(lcm)
+            li = leads[i]
+            lcm = lcm_of(li, lj)
+            if lcm == li + lj:  # coprime leads: keys and degrees add
+                key, deg = -(basis[i][1] + kj), degree[i] + dj
+            else:
+                e = unpack(lcm)
+                key, deg = -sum(map(mul, e, weights)), sum(e)
             pending.add((i, j))
-            heapq.heappush(heap, (s, keyf(lcm), i, j, lcm))
+            heapq.heappush(heap, (max(ecart[i], ecart_j) + deg, key, i, j, lcm))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while heap:
-        s, _, i, j, lcm = heapq.heappop(heap)
+        s, key, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        li, ti = basis[i]
-        lj, tj = basis[j]
-        if tuple(map(add, li, lj)) == lcm:
+        if leads[i] + leads[j] == lcm:
             continue  # product criterion
-        for k, (lk, _) in enumerate(basis):
-            if k != i and k != j and all(map(le, lk, lcm)):
+        lg = lcm | guard
+        for k, lk in enumerate(leads):
+            if (lg - lk) & guard == guard and k != i and k != j:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
                     break  # chain criterion
         else:
             _spend(budget)
-            rem = _reduce(_spoly(lcm, li, ti, lj, tj), basis, nkeys, budget)
+            spoly = _spoly(lcm, -key, basis[i], basis[j], guard)
+            rem = _reduce(spoly, basis, pk, budget)
             if rem:
-                basis.append(_make_monic(rem, nkeys))
-                sugar.append(s)
+                d = _monic(rem, pk)
+                basis.append(d)
+                leads.append(d[0])
+                degree.append(sum(unpack(d[0])))
+                ecart.append(s - degree[-1])
                 push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, nkeys, budget)
+    return _interreduce(basis, pk, budget)
 
 
-def _spoly(lcm, li, ti, lj, tj):
-    """S-polynomial of two monic elements; their lead terms cancel."""
-    si = tuple(map(sub, lcm, li))
-    sj = tuple(map(sub, lcm, lj))
-    spoly = {tuple(map(add, si, m)): c for m, c in ti.items() if m != li}
-    for m, c in tj.items():
-        if m == lj:
-            continue
-        mm = tuple(map(add, sj, m))
-        cur = spoly.get(mm)
+def _spoly(lcm, key, di, dj, guard):
+    """S-polynomial of two monic divisors, as triples; their lead terms
+    cancel.  key is the negated key of lcm."""
+    si = lcm - di[0]
+    sj = lcm - dj[0]
+    if ((si + di[2]) | (sj + dj[2])) & guard:
+        raise _Overflow
+    ki = key - di[1]
+    kj = key - dj[1]
+    spoly = {ki + k: (si + m, c) for k, m, c in di[3]}
+    for k, m, c in dj[3]:
+        kk = kj + k
+        cur = spoly.get(kk)
         if cur is None:
-            spoly[mm] = -c
+            spoly[kk] = (sj + m, -c)
         else:
-            nxt = cur - c
+            nxt = cur[1] - c
             if nxt.is_zero():
-                del spoly[mm]
+                del spoly[kk]
             else:
-                spoly[mm] = nxt
-    return spoly
+                spoly[kk] = (cur[0], nxt)
+    return [(k, m, c) for k, (m, c) in spoly.items()]
 
 
-def _interreduce(basis, nkeys, budget):
+def _interreduce(basis, pk, budget):
+    guard = pk.guard
     # Minimal basis: drop elements whose lead is divisible by another lead.
-    basis = sorted(basis, key=lambda bt: nkeys[bt[0]], reverse=True)
+    basis = sorted(basis, key=itemgetter(1), reverse=True)
     kept = []
-    for idx, (lead, terms) in enumerate(basis):
-        for jdx, (l2, _) in enumerate(basis):
-            if jdx != idx and all(map(le, l2, lead)) and (l2 != lead or jdx < idx):
+    for idx, d in enumerate(basis):
+        lead = d[0]
+        lg = lead | guard
+        for jdx, d2 in enumerate(basis):
+            l2 = d2[0]
+            if jdx != idx and (lg - l2) & guard == guard and (l2 != lead or jdx < idx):
                 break
         else:
-            kept.append((lead, terms))
+            kept.append(d)
     # Tail-reduce each element against the others.
     out = []
-    for idx, (lead, terms) in enumerate(kept):
-        rem = _reduce(terms, kept[:idx] + kept[idx + 1:], nkeys, budget)
+    for idx, d in enumerate(kept):
+        rem = _reduce(_divisor_terms(d), kept[:idx] + kept[idx + 1:], pk, budget)
         if rem:
-            out.append(_make_monic(rem, nkeys))
-    out.sort(key=lambda bt: nkeys[bt[0]], reverse=True)
+            out.append(_monic(rem, pk))
+    out.sort(key=itemgetter(1), reverse=True)
     return out

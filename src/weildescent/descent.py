@@ -429,7 +429,7 @@ def descend(
         if _x_stable_and_trivial(d):
             # X is fixed by every sigma and the datum is trivial: X is already a
             # model over the fixed field, with R the identity.  No Phi is built,
-            # so no disjointness is certified, and no coordinate is pruned.
+            # so no disjointness is certified.
             R, y_ideal, invariant_count = identity_map(X.ring), X.ideal, X.ring.nvars
         else:
             dd = disjointify(d)
@@ -472,10 +472,10 @@ def descend(
             graph = _graph_basis(R, X.ideal, tnames)
             y_ideal = _second_block(*graph)
 
-            # Pruning reads only reduced bases, which depend on the ideal alone,
-            # so Y is certified once, on its final coordinates.
-            if prune:
-                y_ideal, R, pruned = _prune_coordinates(y_ideal, R)
+        # Pruning reads only reduced bases, which depend on the ideal alone,
+        # so Y is certified once, on its final coordinates.
+        if prune:
+            y_ideal, R, pruned = _prune_coordinates(y_ideal, R)
         y_ideal = _certify_y(y_ideal, group, certificates)
 
         for s in group:
@@ -488,10 +488,10 @@ def descend(
 
         inverse = None
         if want_inverse:
-            if graph is None:
-                inverse = R
-            elif pruned:
+            if pruned:
                 inverse = recover_inverse(R, X.ideal, y_ideal)
+            elif graph is None:
+                inverse = R
             else:
                 inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal)
         if inverse is not None:
@@ -548,8 +548,12 @@ def recover_inverse(R: RationalMap, I_X: Ideal, I_Y: Ideal, budget=None):
 
     Soft outcome: returns None when no usable elements appear.
     """
+    # The basis is read by position, so Y's coordinates may share X's names,
+    # as on the stable path: the graph ring names them apart.
+    targets = tuple(_fresh_name(f"t{k + 1}", I_X.ring.variables)
+                    for k in range(I_Y.ring.nvars))
     with _run(budget):
-        gb, split = _graph_basis(R, I_X, I_Y.ring.variables)
+        gb, split = _graph_basis(R, I_X, targets)
         return _inverse_from_graph(gb, split, I_X.ring.nvars, I_Y)
 
 

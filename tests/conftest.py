@@ -19,14 +19,15 @@ def read_fixture(name):
 
 # Committed `descend` documents, <stem>_result.txt, each with the problem
 # file and flags that write it.  Pruned: a non-integral minimal polynomial,
-# a datum with a denominator, and points over the cyclic cubic field whose
-# conjugates meet.  Unpruned: Y read straight off the graph basis, in every
-# invariant coordinate.  Stable and trivial: X is its own model, R the
-# identity.
+# a datum with a denominator, points over the cyclic cubic field whose
+# conjugates meet, and the genus-5 Humbert curve.  Unpruned: Y read straight
+# off the graph basis, in every invariant coordinate.  Stable and trivial: X
+# is its own model, R the identity.
 DOCUMENTED_FIXTURES = {
     "conic_half": ("conic_half", ["--prune"]),
     "twisted_conic": ("twisted_conic", ["--prune"]),
     "cubic_origin": ("cubic_origin", ["--prune"]),
+    "humbert": ("humbert", ["--prune"]),
     "cubic_origin_unpruned": ("cubic_origin", []),
     "conic_unpruned": ("conic", []),
     "humbert_unpruned": ("humbert", []),
@@ -137,22 +138,23 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def _record_kernel_steps(monkeypatch, record):
-    """Wrap both kernel entry points so that record(n) gets the n reduction
-    steps each call spends: the drop in the budget list it is given."""
+    """Wrap both kernel entry points so that record(entry, n) gets the name
+    of each call's entry point and the n reduction steps it spends: the drop
+    in the budget list it is given."""
     kernel = sys.modules["weildescent.kernel"]
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapper(*args):
             budget = args[-1]
             before = budget[0]
             try:
                 return fn(*args)
             finally:
-                record(before - budget[0])
+                record(name, before - budget[0])
         return wrapper
 
     for name in ("buchberger", "normal_form"):
-        monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
+        monkeypatch.setattr(kernel, name, counted(name, getattr(kernel, name)))
 
 
 @pytest.fixture
@@ -161,7 +163,7 @@ def kernel_steps(monkeypatch):
     spends while the test runs."""
     spent = [0]
 
-    def add(n):
+    def add(_, n):
         spent[0] += n
 
     _record_kernel_steps(monkeypatch, add)
@@ -170,8 +172,8 @@ def kernel_steps(monkeypatch):
 
 @pytest.fixture
 def kernel_call_steps(monkeypatch):
-    """The reduction steps of each kernel call made while the test runs, one
-    entry per call, in call order."""
+    """(entry point, reduction steps) of each kernel call made while the
+    test runs, one pair per call, in call order."""
     calls = []
-    _record_kernel_steps(monkeypatch, calls.append)
+    _record_kernel_steps(monkeypatch, lambda name, n: calls.append((name, n)))
     return calls

@@ -244,6 +244,25 @@ class TestDescend:
         assert code == 0
         assert "equation = x1^2 + x2^2 - 1" in out
 
+    def test_stable_fixture_prunes(self, capsys, tmp_path):
+        # X is sigma-stable and x2 a polynomial in x1: --prune drops x2,
+        # takes R^-1 from the graph of R, and the document checks.
+        problem = tmp_path / "parabola.txt"
+        problem.write_text(read_fixture("stable.txt").replace(
+            "equation = x1^2 + x2^2 - 1", "equation = x2 - x1^2"))
+        code, out, _ = run(capsys, "descend", str(problem), "--prune")
+        assert code == 0
+        assert "variables = x1\n" in out
+        assert "component = x1^2\n" in out
+        assert "pruned = x2\n" in out
+        document = tmp_path / "parabola_result.txt"
+        document.write_text(out)
+        code, out, _ = run(
+            capsys, "check-model", str(problem), "--claimed", str(document)
+        )
+        assert code == 0
+        assert "result = pass" in out
+
     def test_budget_starved_exit_three(self, capsys):
         code, _, err = run(
             capsys, "descend", fixture_path("humbert.txt"), "--budget", "5"

@@ -459,11 +459,29 @@ class TestRunBudget:
         # The steps of the largest single kernel call of a pruned Humbert
         # run cover that call but not the run; the run's total covers it.
         total = self.spent(True)
-        largest = max(kernel_call_steps)
+        largest = max(n for _, n in kernel_call_steps)
         assert largest < total
         with pytest.raises(wd.ResourceLimit):
             wd.descend(humbert_datum(), prune=True, budget=largest)
         wd.descend(humbert_datum(), prune=True, budget=total)
+
+    # The steps of each Buchberger call and the normal-form steps in all of a
+    # pruned descent on a freshly loaded problem: the kernel's S-pair order,
+    # criteria and choice of divisor fix them.
+    KERNEL_WORK = {
+        "humbert": ([9, 1040, 489, 25, 13, 6, 5, 27], 13),
+        "twisted_conic": ([8, 6, 7, 6, 3, 8, 0, 3, 5, 4, 6, 6, 5, 4, 6, 6,
+                           1580, 232, 17, 20, 0, 4, 4, 23, 3, 3], 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_WORK))
+    def test_kernel_work_per_call(self, name, kernel_call_steps):
+        problem = load_problem_text(read_fixture(f"{name}.txt"))
+        del kernel_call_steps[:]
+        wd.descend(problem.datum, prune=True)
+        buchberger = [n for entry, n in kernel_call_steps if entry == "buchberger"]
+        normal_form = sum(n for entry, n in kernel_call_steps if entry == "normal_form")
+        assert (buchberger, normal_form) == self.KERNEL_WORK[name]
 
     @pytest.mark.parametrize(
         "name", sorted({name for name, _ in DOCUMENTED_FIXTURES.values()})

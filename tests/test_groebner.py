@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
 from tests.conftest import humbert_datum
+from weildescent._pykernel import _run
 from weildescent.descent import _sigma_stable
 
 
@@ -157,6 +158,22 @@ def oracle_cases(orders=("lex", "grevlex"), max_gens=3):
     return st.sampled_from(sorted(ORACLE_FIELDS)).flatmap(for_field)
 
 
+# Fields of the extension oracle: the package's field and the root that
+# sympy adjoins to Q for it.
+EXTENSIONS = {
+    "Q(i)": (wd.NumberField([1, 0, 1], gen_name="i"), sympy.I),
+    "Q(sqrt 2)": (wd.NumberField([-2, 0, 1], gen_name="s"), sympy.sqrt(2)),
+}
+
+
+def extension_terms():
+    """Term dicts in x, y, z of total degree <= 3: 1-3 terms, coefficient
+    vectors (in the power basis 1, root) of small integers."""
+    coeff = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    mono = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda m: sum(m) <= 3)
+    return st.dictionaries(mono, coeff, min_size=1, max_size=3)
+
+
 def to_sympy(P: wd.MultiPoly, name):
     _, domain, element = ORACLE_FIELDS[name]
     terms = {m: element(list(c.coeffs)) for m, c in P.terms.items()}
@@ -257,6 +274,45 @@ class TestAgainstSympy:
         )
         assert to_sympy(wd.normal_form(f, gb), name) == rem
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from(sorted(EXTENSIONS)),
+        st.sampled_from(["lex", "grevlex"]),
+        st.lists(extension_terms(), min_size=1, max_size=3),
+        extension_terms(),
+    )
+    def test_extension_fields_match_sympy(self, name, order, gens, target):
+        """Over Q(sqrt 2) and Q(i), the reduced basis and the normal form
+        equal sympy's, which computes over the extension by the root."""
+        field, root = EXTENSIONS[name]
+        ring = wd.PolyRing(field, ("x", "y", "z"), wd.MonomialOrder(order))
+
+        def poly(terms):
+            return wd.MultiPoly(ring, {m: field.element(c) for m, c in terms.items()})
+
+        def expr(P):
+            x, y, z = SYMPY_XYZ
+            return sum(
+                (sympy.Rational(c.coeffs[0]) + sympy.Rational(c.coeffs[1]) * root)
+                * x**a * y**b * z**e
+                for (a, b, e), c in P.terms.items()
+            )
+
+        gb = wd.groebner(wd.Ideal(ring, [poly(g) for g in gens]))
+        theirs = sympy.groebner(
+            [expr(poly(g)) for g in gens], *SYMPY_XYZ, order=order, extension=root
+        )
+        assert {sympy.expand(expr(g)) for g in gb.elements} == {
+            sympy.expand(e) for e in theirs.exprs
+        }
+        assert len(gb.elements) == len(theirs.exprs)
+
+        f = poly(target)
+        _, rem = sympy.reduced(
+            expr(f), theirs.exprs, *SYMPY_XYZ, order=order, extension=root
+        )
+        assert sympy.expand(expr(wd.normal_form(f, gb)) - rem) == 0
+
     # sympy's lex bases of three random generators, or with a fourth,
     # auxiliary variable, can take minutes; two generators in x, y, z take
     # milliseconds.  So saturate is checked against eliminate.
@@ -341,13 +397,13 @@ class TestLexElimination:
 
 
 class TestKernels:
-    @pytest.mark.parametrize(
-        "order",
-        [wd.MonomialOrder("lex"), wd.MonomialOrder("grevlex"),
-         wd.MonomialOrder("block", split=1)],
-        ids=["lex", "grevlex", "block"],
-    )
-    def test_both_kernels_agree(self, qring, order):
+    ORDERS = [wd.MonomialOrder("lex"), wd.MonomialOrder("grevlex"),
+              wd.MonomialOrder("block", split=1)]
+
+    @pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "block"])
+    def test_kernel_basis_matches_groebner(self, qring, order):
+        # The kernel called directly returns the elements of wd.groebner,
+        # each with its largest monomial as its lead.
         from weildescent import _pykernel
 
         gens = [p("x^2 + y*z - 1", qring), p("y^2 - x*z", qring)]
@@ -357,3 +413,90 @@ class TestKernels:
         assert [terms for _, terms in py] == [g.terms for g in active.elements]
         for lead, terms in py:
             assert lead == max(terms, key=order.key)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from([("lex", None), ("grevlex", None), ("block", 1),
+                         ("block", 2), ("block", 3)]),
+        st.sampled_from([16, 32]),
+        st.data(),
+    )
+    def test_int_key_orders_as_the_tuple_key(self, kind, width, data):
+        # Any two monomials that fit the fields, up to the largest exponent,
+        # compare by the kernel's int key as by MonomialOrder.key.
+        from weildescent import _pykernel
+
+        order = wd.MonomialOrder(*kind)
+        nvars = 4
+        top = (1 << (width - 1)) - 1
+        exps = st.one_of(st.integers(0, 3), st.just(top), st.integers(0, top))
+        mono = st.tuples(*[exps] * nvars)
+        a, b = data.draw(mono), data.draw(mono)
+        pk = _pykernel._packing(order.key, nvars, width)
+
+        def int_key(e):
+            return -sum(x * w for x, w in zip(e, pk.weights))
+
+        assert (int_key(a) < int_key(b)) == (order.key(a) < order.key(b))
+        assert (int_key(a) == int_key(b)) == (a == b)
+        assert pk.unpack(pk.pack(a)) == a
+
+    @staticmethod
+    def lex_ring(rational_field):
+        return wd.PolyRing(rational_field, ("y", "x"), wd.MonomialOrder("lex"))
+
+    @pytest.mark.parametrize("k, n", [(2, 2**31), (3, 30000)])
+    def test_exponent_outgrowing_its_field(self, rational_field, k, n):
+        # y^k reduces to x^(k*n) modulo y - x^n in k steps.  x^(2^31) does
+        # not fit a 32-bit field with its guard bit.  x^30000 fits 16 bits,
+        # but the second step's product x^60000 does not, so that call starts
+        # again, and the budget counts each step once.
+        ring = self.lex_ring(rational_field)
+        one = rational_field.one
+        gb = wd.Ideal(ring, [wd.MultiPoly(ring, {(1, 0): one, (0, n): -one})]
+                      ).groebner_basis()
+        budget = [100]
+        with _run(budget):
+            rem = wd.normal_form(p(f"y^{k}", ring), gb)
+        assert rem.terms == {(0, k * n): one}
+        assert budget == [100 - k]
+
+    def test_s_polynomial_outgrowing_its_field(self, rational_field, monkeypatch):
+        # The S-polynomial of y - x^30000 and y^2*x^3000 - 1 multiplies the
+        # first by y*x^3000, past a 16-bit field; <y - x^30000, x^63000 - 1>
+        # is the same ideal, and its lex basis.  No monomial with a guard
+        # bit set reaches a reduction or leaves one.
+        from weildescent import _pykernel
+
+        reduce = _pykernel._reduce
+
+        def fitting(f, basis, pk, budget):
+            f = list(f)
+            assert not any(m & pk.guard for _, m, _ in f)
+            rem = reduce(f, basis, pk, budget)
+            assert not any(m & pk.guard for _, m, _ in rem)
+            return rem
+
+        monkeypatch.setattr(_pykernel, "_reduce", fitting)
+        ring = self.lex_ring(rational_field)
+        one = rational_field.one
+        gens = [wd.MultiPoly(ring, {(1, 0): one, (0, 30000): -one}),
+                wd.MultiPoly(ring, {(2, 3000): one, (0, 0): -one})]
+        gb = wd.groebner(wd.Ideal(ring, gens))
+        assert [g.terms for g in gb.elements] == [
+            {(0, 63000): one, (0, 0): -one}, {(1, 0): one, (0, 30000): -one}
+        ]
+
+    @pytest.mark.parametrize("n", [2**41 + 1, 2**70])
+    def test_huge_exponents_come_back_unchanged(self, rational_field, n):
+        # Leads x^n and y^3 share no variable: the basis is its generators,
+        # monic.  2^70 is past the widest fields struct packs.
+        ring = self.lex_ring(rational_field)
+        one = rational_field.one
+        gens = [wd.MultiPoly(ring, {(0, n): one, (1, 0): one}),
+                wd.MultiPoly(ring, {(3, 0): one, (0, 0): -one})]
+        gb = wd.groebner(wd.Ideal(ring, gens), wd.MonomialOrder("grevlex"))
+        assert len(gb.elements) == 2
+        assert {frozenset(g.terms.items()) for g in gb.elements} == {
+            frozenset(g.terms.items()) for g in gens
+        }
