@@ -1,10 +1,10 @@
 """Pure-Python Buchberger kernel.
 
 Polynomials enter as dicts exponent-tuple -> coefficient, where coefficients
-are opaque field elements supporting +, -, *, inverse() and is_zero().  The
-monomial order enters as its key function (MonomialOrder.key).  A basis
-leaves buchberger, and divisors enter normal_form, as (lead monomial, monic
-terms) pairs.  weildescent.kernel re-exports the two entry points.
+are NumberFieldElements of one field.  The monomial order enters as its key
+function (MonomialOrder.key).  A basis leaves buchberger, and divisors enter
+normal_form, as (lead monomial, monic terms) pairs.  weildescent.kernel
+re-exports the two entry points.
 
 - buchberger takes S-pairs in order of sugar degree (Giovini, Mora, Niesi,
   Robbiano, Traverso, "One sugar cube, please", ISSAC 1991).
@@ -29,6 +29,13 @@ terms) pairs.  weildescent.kernel re-exports the two entry points.
   twice as wide, so each step is counted once.  Exponent tuples and ints are
   converted only on the way in and out.  The layout and the weights are
   derived once per (order, number of variables, field width) and kept.
+- A coefficient is its (num, den) pair inside a call, the form in which an
+  element stores itself, and arithmetic is the field's pair functions
+  (NumberField.pair_mul, pair_add, pair_neg and pair_inv; nf below is that
+  field).  Each coefficient becomes a pair once, at entry or when
+  normal_form first uses a divisor, and pairs become elements of the input's
+  field object again only on the way out.  Nothing the module keeps between
+  calls refers to a field.
 
 The budget is a single-element list of remaining reduction steps, decremented
 in place so one cap can span a whole pipeline.  This module owns the run's
@@ -211,18 +218,24 @@ def _divisor(first, rest, pk):
     return [first[1], first[0], top, rest, first[2]]
 
 
-def _monic(terms, pk):
+def _monic(terms, pk, nf):
     """The divisor of a nonzero polynomial given as triples, lead first."""
     k0, lead, c0 = terms[0]
-    inv = c0.inverse()
-    tail = [(k, m, c * inv) for k, m, c in terms[1:]]
-    return _divisor((k0, lead, c0 * inv), tail, pk)
+    inv = nf.pair_inv(c0)
+    times = nf.pair_mul
+    tail = [(k, m, times(c, inv)) for k, m, c in terms[1:]]
+    return _divisor((k0, lead, times(c0, inv)), tail, pk)
+
+
+def _pairs(poly):
+    """A dict polynomial with each coefficient as its (num, den) pair."""
+    return {e: (c.num, c.den) for e, c in poly.items()}
 
 
 def _fill(d, pk):
     """Pack the terms of a divisor that normal_form was handed; its
     coefficients are monic already."""
-    triples = pk.terms(d[2])
+    triples = pk.terms(_pairs(d[2]))
     first = next(t for t in triples if t[1] == d[0])
     triples.remove(first)
     d[:] = _divisor(first, triples, pk)
@@ -232,9 +245,9 @@ def _divisor_terms(d):
     return [(d[1], d[0], d[4])] + d[3]
 
 
-def _reduce(f, basis, pk, budget):
+def _reduce(f, basis, pk, nf, budget):
     """Remainder of f modulo a list of monic divisors, as (negated key,
-    monomial, coefficient) triples from the largest monomial down.
+    monomial, coefficient pair) triples from the largest monomial down.
 
     f is an iterable of such triples.  h maps the negated key of each term
     still to reduce to its coefficient, and mono maps it to its monomial.
@@ -246,9 +259,12 @@ def _reduce(f, basis, pk, budget):
     for k, m, c in f:
         h[k] = c
         mono[k] = m
+    if not h:
+        return []  # normal_form of 0, which has no field to take
     heap = list(h)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
+    times, plus, negate = nf.pair_mul, nf.pair_add, nf.pair_neg
     remainder = []
     while heap:
         k = pop(heap)
@@ -270,19 +286,20 @@ def _reduce(f, basis, pk, budget):
         if (shift + d[2]) & guard:
             raise _Overflow
         ks = k - d[1]
+        c = negate(c)
         for kt, m, cc in d[3]:
             kk = ks + kt
             cur = h.get(kk)
             if cur is None:
-                h[kk] = -(c * cc)
+                h[kk] = times(c, cc)
                 mono[kk] = shift + m
                 push(heap, kk)
             else:
-                nxt = cur - c * cc
-                if nxt.is_zero():
-                    del h[kk]
-                else:
+                nxt = plus(cur, times(c, cc))
+                if any(nxt[0]):
                     h[kk] = nxt
+                else:
+                    del h[kk]
     return remainder
 
 
@@ -291,12 +308,18 @@ def normal_form(f, divisors, keyf, budget):
     as buchberger returns it."""
     if not f:
         divisors = ()  # the remainder of 0 is 0: no divisor is packed
+        nf = element = None
+    else:
+        first = next(iter(f.values()))
+        nf, element = first.field, type(first)
+        f = _pairs(f)
 
     def run(pk):
         pack = pk.pack
         basis = [[pack(lead), None, terms, None, None] for lead, terms in divisors]
         unpack = pk.unpack
-        return {unpack(m): c for _, m, c in _reduce(pk.terms(f), basis, pk, budget)}
+        rem = _reduce(pk.terms(f), basis, pk, nf, budget)
+        return {unpack(m): element(nf, *c) for _, m, c in rem}
 
     return _packed(run, len(next(iter(f), ())), keyf, budget)
 
@@ -315,24 +338,28 @@ def buchberger(gens, keyf, budget):
     gens = [terms for terms in gens if terms]
     if not gens:
         return []
+    first = next(iter(gens[0].values()))
+    nf, element = first.field, type(first)
+    gens = [_pairs(terms) for terms in gens]
 
     def run(pk):
         unpack = pk.unpack
         return [
-            (unpack(d[0]), {unpack(m): c for _, m, c in _divisor_terms(d)})
-            for d in _buchberger(gens, pk, budget)
+            (unpack(d[0]),
+             {unpack(m): element(nf, *c) for _, m, c in _divisor_terms(d)})
+            for d in _buchberger(gens, pk, nf, budget)
         ]
 
     return _packed(run, len(next(iter(gens[0]))), keyf, budget)
 
 
-def _buchberger(gens, pk, budget):
+def _buchberger(gens, pk, nf, budget):
     start = []
     for terms in gens:
         triples = pk.terms(terms)
         lead = min(triples)  # the least negated key
         triples.remove(lead)
-        start.append((_monic([lead] + triples, pk), max(map(sum, terms))))
+        start.append((_monic([lead] + triples, pk, nf), max(map(sum, terms))))
     # Ascending by key; reverse=True keeps equal leads in input order.
     start.sort(key=lambda e: e[0][1], reverse=True)
     basis = [d for d, _ in start]
@@ -375,20 +402,20 @@ def _buchberger(gens, pk, budget):
                     break  # chain criterion
         else:
             _spend(budget)
-            spoly = _spoly(lcm, -key, basis[i], basis[j], guard)
-            rem = _reduce(spoly, basis, pk, budget)
+            spoly = _spoly(lcm, -key, basis[i], basis[j], guard, nf)
+            rem = _reduce(spoly, basis, pk, nf, budget)
             if rem:
-                d = _monic(rem, pk)
+                d = _monic(rem, pk, nf)
                 basis.append(d)
                 leads.append(d[0])
                 degree.append(sum(unpack(d[0])))
                 ecart.append(s - degree[-1])
                 push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, pk, budget)
+    return _interreduce(basis, pk, nf, budget)
 
 
-def _spoly(lcm, key, di, dj, guard):
+def _spoly(lcm, key, di, dj, guard, nf):
     """S-polynomial of two monic divisors, as triples; their lead terms
     cancel.  key is the negated key of lcm."""
     si = lcm - di[0]
@@ -397,22 +424,24 @@ def _spoly(lcm, key, di, dj, guard):
         raise _Overflow
     ki = key - di[1]
     kj = key - dj[1]
+    plus, negate = nf.pair_add, nf.pair_neg
     spoly = {ki + k: (si + m, c) for k, m, c in di[3]}
     for k, m, c in dj[3]:
         kk = kj + k
         cur = spoly.get(kk)
+        c = negate(c)
         if cur is None:
-            spoly[kk] = (sj + m, -c)
+            spoly[kk] = (sj + m, c)
         else:
-            nxt = cur[1] - c
-            if nxt.is_zero():
-                del spoly[kk]
-            else:
+            nxt = plus(cur[1], c)
+            if any(nxt[0]):
                 spoly[kk] = (cur[0], nxt)
+            else:
+                del spoly[kk]
     return [(k, m, c) for k, (m, c) in spoly.items()]
 
 
-def _interreduce(basis, pk, budget):
+def _interreduce(basis, pk, nf, budget):
     guard = pk.guard
     # Minimal basis: drop elements whose lead is divisible by another lead.
     basis = sorted(basis, key=itemgetter(1), reverse=True)
@@ -429,8 +458,8 @@ def _interreduce(basis, pk, budget):
     # Tail-reduce each element against the others.
     out = []
     for idx, d in enumerate(kept):
-        rem = _reduce(_divisor_terms(d), kept[:idx] + kept[idx + 1:], pk, budget)
+        rem = _reduce(_divisor_terms(d), kept[:idx] + kept[idx + 1:], pk, nf, budget)
         if rem:
-            out.append(_monic(rem, pk))
+            out.append(_monic(rem, pk, nf))
     out.sort(key=itemgetter(1), reverse=True)
     return out

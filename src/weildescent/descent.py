@@ -155,7 +155,11 @@ def _first_mismatch(f: RationalMap, g: RationalMap, ideal: Ideal):
     for k, ((nf_, df_), (ng_, dg_)) in enumerate(zip(f.components, g.components)):
         for den in (df_, dg_):
             _reduced_denominator(den, gb, "map denominator vanishes on the variety")
-        rem = normal_form(nf_ * dg_ - ng_ * df_, gb)
+        if df_ == 1 and dg_ == 1:
+            diff = nf_ - ng_
+        else:
+            diff = nf_ * dg_ - ng_ * df_
+        rem = normal_form(diff, gb)
         if not rem.is_zero():
             return k, rem
     return None

@@ -508,31 +508,48 @@ def _substitute_fraction(P: MultiPoly, numerators, denominators, target: PolyRin
     """P(n1/d1, ..., nk/dk) as a (numerator, denominator) pair over target.
 
     The powers of each numerator and denominator are charged to the run's
-    budget, one step each, before any is built.
+    budget, one step each, before any is built.  No power of a denominator
+    equal to 1 is built, and no factor equal to 1 is multiplied in.
     """
-    degs = [P.degree_in(i) for i in range(P.ring.nvars)]
-    degs = [max(d, 0) for d in degs]
+    degs = [max(P.degree_in(i), 0) for i in range(P.ring.nvars)]
     _spend(_as_budget(None), 2 * sum(degs))
-    num_pows = []
-    den_pows = []
-    for i in range(P.ring.nvars):
-        npw = [target.one]
-        dpw = [target.one]
-        for _ in range(degs[i]):
-            npw.append(npw[-1] * numerators[i])
-            dpw.append(dpw[-1] * denominators[i])
-        num_pows.append(npw)
-        den_pows.append(dpw)
-    out = target.zero
+    one = target.one
+    # factors[i][e]: the factors other than 1 of n_i^e * d_i^(deg_i - e).
+    factors = []
+    full_den = None
+    for i, deg in enumerate(degs):
+        fs = [[]]
+        if deg:
+            n, d = numerators[i], denominators[i]
+            npw = [n]  # npw[k] = n^(k+1)
+            for _ in range(deg - 1):
+                npw.append(npw[-1] * n)
+            fs += [[p] for p in npw]
+            if d != one:
+                dpw = [d]
+                for _ in range(deg - 1):
+                    dpw.append(dpw[-1] * d)
+                for e in range(deg):
+                    fs[e].append(dpw[deg - e - 1])
+                full_den = dpw[-1] if full_den is None else full_den * dpw[-1]
+        factors.append(fs)
+    out = {}
+    constant = {(0,) * target.nvars: target.field.one}
     for mono, coeff in P.sorted_terms():
-        term = target.constant(coeff)
-        for i, e in enumerate(mono):
-            term = term * num_pows[i][e] * den_pows[i][degs[i] - e]
-        out = out + term
-    full_den = target.one
-    for i in range(P.ring.nvars):
-        full_den = full_den * den_pows[i][degs[i]]
-    return out, full_den
+        term = None
+        for fs, e in zip(factors, mono):
+            for p in fs[e]:
+                term = p if term is None else term * p
+        for m, c in (constant if term is None else term.terms).items():
+            c = coeff * c
+            s = out.get(m)
+            if s is not None:
+                c = s + c
+            if c.is_zero():
+                del out[m]
+            else:
+                out[m] = c
+    return MultiPoly(target, out), one if full_den is None else full_den
 
 
 def compose_map(g: RationalMap, f: RationalMap) -> RationalMap:

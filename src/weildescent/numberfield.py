@@ -5,18 +5,21 @@ alpha^(m-1), stored as m integer numerators over one positive integer
 denominator, in lowest terms: gcd(den, *num) == 1 (Cohen, *A Course in
 Computational Algebraic Number Theory*, section 4.2).  Equal elements thus
 have equal representations, and arithmetic is on Python ints; Fractions appear
-only where coordinates enter or leave an element.  The Galois group is given
+only where coordinates enter or leave an element.  Each field has one
+arithmetic on these (num, den) pairs, closed forms in degree 1 and 2 and
+loops over the multiplication table above that.  Element operators wrap it,
+and the Groebner kernel calls it on bare pairs.  The Galois group is given
 by the images of alpha under each automorphism; the base field K is always Q,
 represented implicitly as the fixed field of the group.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, isqrt, lcm
-from operator import add, neg, sub
 
 from ._pykernel import _as_budget, _spend
 from .errors import InputError, SingularBasis, ZeroDenominator
@@ -283,10 +286,212 @@ def _divides(h, g):
     return not any(r[:n])
 
 
-class NumberField:
-    """L = Q(alpha) for a monic irreducible minimal polynomial over Q."""
+# Pair arithmetic.  A pair is (num, den) exactly as an element stores it: a
+# tuple of m ints over one positive int, in lowest terms.  Each NumberField
+# builds one set of functions on pairs, mul, add, neg and inv, when it is
+# constructed; its elements and the Groebner kernel both call them.  They
+# close over the ints of the multiplication table, never over the field.
 
-    __slots__ = ("minpoly", "gen_name", "degree", "_high_powers", "_table_den")
+
+def _lowest(num, den):
+    """The pair num/den, den > 0, with the common gcd divided out."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(v // g for v in num)
+            den //= g
+    return num, den
+
+
+def _linear_arithmetic():
+    """Pair arithmetic of Q itself (degree 1)."""
+
+    def mul(a, b):
+        (x,), da = a
+        (y,), db = b
+        n, den = x * y, da * db
+        if den != 1:
+            g = gcd(n, den)
+            if g != 1:
+                n //= g
+                den //= g
+        return (n,), den
+
+    def add(a, b):
+        (x,), da = a
+        (y,), db = b
+        if da == db:
+            n, den = x + y, da
+        else:
+            n, den = x * db + y * da, da * db
+        if den != 1:
+            g = gcd(n, den)
+            if g != 1:
+                n //= g
+                den //= g
+        return (n,), den
+
+    def neg(a):
+        (x,), d = a
+        return (-x,), d
+
+    def inv(a):
+        (x,), d = a
+        if not x:
+            raise ZeroDenominator("division by zero in number field")
+        return ((d,), x) if x > 0 else ((-d,), -x)
+
+    return mul, add, neg, inv
+
+
+def _quadratic_arithmetic(r0, r1, t):
+    """Pair arithmetic of a quadratic field with alpha^2 = (r0 + r1*alpha)/t."""
+
+    def mul(a, b):
+        (x0, x1), da = a
+        (y0, y1), db = b
+        den = da * db
+        if not (x1 or y1):  # both rational
+            n0 = x0 * y0
+            if den != 1:
+                g = gcd(n0, den)
+                if g != 1:
+                    n0 //= g
+                    den //= g
+            return (n0, 0), den
+        n0, n1 = x0 * y0, x0 * y1 + x1 * y0
+        p = x1 * y1
+        if p:
+            if t != 1:
+                n0, n1, den = n0 * t, n1 * t, den * t
+            n0 += p * r0
+            n1 += p * r1
+        if den != 1:
+            g = gcd(den, n0, n1)
+            if g != 1:
+                n0 //= g
+                n1 //= g
+                den //= g
+        return (n0, n1), den
+
+    def add(a, b):
+        (x0, x1), da = a
+        (y0, y1), db = b
+        if da == db:
+            n0, n1, den = x0 + y0, x1 + y1, da
+        else:
+            n0, n1, den = x0 * db + y0 * da, x1 * db + y1 * da, da * db
+        if den != 1:
+            g = gcd(den, n0, n1)
+            if g != 1:
+                n0 //= g
+                n1 //= g
+                den //= g
+        return (n0, n1), den
+
+    def neg(a):
+        (x0, x1), d = a
+        return (-x0, -x1), d
+
+    def inv(a):
+        """1/a = d * conj(a) / norm(a), times t / t to keep both integral."""
+        (x0, x1), d = a
+        if not x1:
+            if not x0:
+                raise ZeroDenominator("division by zero in number field")
+            return ((d, 0), x0) if x0 > 0 else ((-d, 0), -x0)
+        norm = t * x0 * x0 + r1 * x0 * x1 - r0 * x1 * x1
+        if norm < 0:
+            d, norm = -d, -norm
+        return _lowest((d * (t * x0 + r1 * x1), -d * t * x1), norm)
+
+    return mul, add, neg, inv
+
+
+def _general_arithmetic(m, t, high_powers):
+    """Pair arithmetic of a field of degree m >= 3, whose powers alpha^m ..
+    alpha^(2m-2) are the rows of high_powers over the denominator t."""
+
+    def mul(a, b):
+        x, da = a
+        y, db = b
+        den = da * db
+        prod = [0] * (2 * m - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        prod[i + j] += xi * yj
+        out = prod[:m]
+        if any(prod[m:]):
+            if t != 1:
+                out = [c * t for c in out]
+                den *= t
+            for c, row in zip(prod[m:], high_powers):
+                if c:
+                    for k, r in enumerate(row):
+                        out[k] += c * r
+        return _lowest(tuple(out), den)
+
+    def add(a, b):
+        x, da = a
+        y, db = b
+        if da == db:
+            return _lowest(tuple(map(operator.add, x, y)), da)
+        return _lowest(tuple(u * db + v * da for u, v in zip(x, y)), da * db)
+
+    def neg(a):
+        return tuple(map(operator.neg, a[0])), a[1]
+
+    def inv(a):
+        """1/a by fraction-free Gauss-Jordan elimination (Nakos, Turner and
+        Williams, SIGSAM Bull. 31(3), 1997) on the matrix of multiplication
+        by a's numerators, with column j scaled by t^j so that it is
+        integral."""
+        x, d = a
+        if not any(x):
+            raise ZeroDenominator("division by zero in number field")
+        top_row = high_powers[0]
+        cols = [list(x)]
+        for _ in range(m - 1):
+            c = cols[-1]
+            nxt = [0] + [v * t for v in c[:-1]]
+            if c[-1]:
+                for k, r in enumerate(top_row):
+                    nxt[k] += c[-1] * r
+            cols.append(nxt)
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(m)]
+        prev = 1
+        for k in range(m):
+            # A nonzero a has an invertible matrix: some pivot is nonzero.
+            p = next(i for i in range(k, m) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            pk = pivot_row[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    rows[i] = [(pk * v - f * w) // prev for v, w in zip(row, pivot_row)]
+            prev = pk
+        # Every diagonal entry is now prev, the last column prev times the
+        # solution of the scaled system; undo the scaling and the den of a.
+        num = tuple(d * t ** j * rows[j][m] for j in range(m))
+        if prev < 0:
+            num, prev = tuple(-v for v in num), -prev
+        return _lowest(num, prev)
+
+    return mul, add, neg, inv
+
+
+class NumberField:
+    """L = Q(alpha) for a monic irreducible minimal polynomial over Q.
+
+    pair_mul, pair_add, pair_neg and pair_inv are its arithmetic on
+    (num, den) pairs, the form in which its elements store themselves.
+    """
+
+    __slots__ = ("minpoly", "gen_name", "degree",
+                 "pair_mul", "pair_add", "pair_neg", "pair_inv")
 
     def __init__(self, minpoly_coeffs, gen_name="a"):
         coeffs = tuple(_as_fraction(c) for c in minpoly_coeffs)
@@ -298,11 +503,10 @@ class NumberField:
             raise InputError("minimal polynomial is reducible over Q")
         self.minpoly = coeffs
         self.gen_name = gen_name
-        self.degree = len(coeffs) - 1
+        self.degree = m = len(coeffs) - 1
         # alpha^m = -(c0 + c1*alpha + ... + c_{m-1}*alpha^{m-1}); extend up to
         # alpha^(2m-2) so products reduce in one table lookup.  The table is
         # stored as ints over one denominator, 1 for a monic integer minpoly.
-        m = self.degree
         powers = []
         cur = [-c for c in coeffs[:m]]
         powers.append(cur)
@@ -315,10 +519,14 @@ class NumberField:
             powers.append(nxt)
             cur = nxt
         den = lcm(*(c.denominator for row in powers for c in row))
-        self._table_den = den
-        self._high_powers = tuple(
-            tuple(int(c * den) for c in row) for row in powers
-        )
+        high_powers = tuple(tuple(int(c * den) for c in row) for row in powers)
+        if m == 1:
+            arithmetic = _linear_arithmetic()
+        elif m == 2:
+            arithmetic = _quadratic_arithmetic(*high_powers[0], den)
+        else:
+            arithmetic = _general_arithmetic(m, den, high_powers)
+        self.pair_mul, self.pair_add, self.pair_neg, self.pair_inv = arithmetic
 
     def __repr__(self):
         return f"NumberField(deg={self.degree}, gen={self.gen_name!r})"
@@ -372,83 +580,18 @@ class NumberField:
             return self.rational(-self.minpoly[0])
         return self.element([0, 1])
 
-    # -- arithmetic on numerator vectors --------------------------------------
+    # -- element arithmetic that the tracer counts ----------------------------
 
     def _mul(self, a, b):
-        x, y = a.num, b.num
-        den = a.den * b.den
-        m = self.degree
-        if m == 1:
-            return _reduced(self, (x[0] * y[0],), den)
-        prod = [0] * (2 * m - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        prod[i + j] += xi * yj
-        out = prod[:m]
-        if any(prod[m:]):
-            t = self._table_den
-            if t != 1:
-                out = [c * t for c in out]
-                den *= t
-            for c, row in zip(prod[m:], self._high_powers):
-                if c:
-                    for k, r in enumerate(row):
-                        out[k] += c * r
-        return _reduced(self, tuple(out), den)
+        return NumberFieldElement(self, *self.pair_mul((a.num, a.den), (b.num, b.den)))
 
     def _inv(self, a):
-        """1/a by fraction-free Gauss-Jordan elimination (Nakos, Turner and
-        Williams, SIGSAM Bull. 31(3), 1997) on the matrix of multiplication
-        by a.num, with column j scaled by t^j (t the table denominator) so
-        that it is integral."""
-        x = a.num
-        if not any(x):
-            raise ZeroDenominator("division by zero in number field")
-        m = self.degree
-        if m == 1:
-            sign = -1 if x[0] < 0 else 1
-            return NumberFieldElement(self, (sign * a.den,), sign * x[0])
-        t = self._table_den
-        top_row = self._high_powers[0]
-        cols = [list(x)]
-        for _ in range(m - 1):
-            c = cols[-1]
-            nxt = [0] + [v * t for v in c[:-1]]
-            if c[-1]:
-                for k, r in enumerate(top_row):
-                    nxt[k] += c[-1] * r
-            cols.append(nxt)
-        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(m)]
-        prev = 1
-        for k in range(m):
-            # A nonzero a has an invertible matrix: some pivot is nonzero.
-            p = next(i for i in range(k, m) if rows[i][k])
-            rows[k], rows[p] = rows[p], rows[k]
-            pivot_row = rows[k]
-            pk = pivot_row[k]
-            for i, row in enumerate(rows):
-                if i != k:
-                    f = row[k]
-                    rows[i] = [(pk * v - f * w) // prev for v, w in zip(row, pivot_row)]
-            prev = pk
-        # Every diagonal entry is now prev, the last column prev times the
-        # solution of the scaled system; undo the scaling and the den of a.
-        num = tuple(a.den * t ** j * rows[j][m] for j in range(m))
-        if prev < 0:
-            num, prev = tuple(-v for v in num), -prev
-        return _reduced(self, num, prev)
+        return NumberFieldElement(self, *self.pair_inv((a.num, a.den)))
 
 
 def _reduced(field, num, den):
     """The element num/den, den > 0, with the common gcd divided out."""
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = tuple(v // g for v in num)
-            den //= g
-    return NumberFieldElement(field, num, den)
+    return NumberFieldElement(field, *_lowest(num, den))
 
 
 class NumberFieldElement:
@@ -482,7 +625,7 @@ class NumberFieldElement:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- arithmetic: wrappers over the field's pair arithmetic -----------------
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
@@ -494,44 +637,38 @@ class NumberFieldElement:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        da, db = self.den, o.den
-        if da == db:
-            return _reduced(self.field, tuple(map(add, self.num, o.num)), da)
-        return _reduced(
-            self.field,
-            tuple(x * db + y * da for x, y in zip(self.num, o.num)),
-            da * db,
-        )
+        if type(other) is not NumberFieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        field = self.field
+        return NumberFieldElement(
+            field, *field.pair_add((self.num, self.den), (other.num, other.den)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        da, db = self.den, o.den
-        if da == db:
-            return _reduced(self.field, tuple(map(sub, self.num, o.num)), da)
-        return _reduced(
-            self.field,
-            tuple(x * db - y * da for x, y in zip(self.num, o.num)),
-            da * db,
-        )
+        if type(other) is not NumberFieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        field = self.field
+        return NumberFieldElement(field, *field.pair_add(
+            (self.num, self.den), field.pair_neg((other.num, other.den))))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(map(neg, self.num)), self.den)
+        field = self.field
+        return NumberFieldElement(field, *field.pair_neg((self.num, self.den)))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.field._mul(self, o)
+        if type(other) is not NumberFieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        return self.field._mul(self, other)
 
     __rmul__ = __mul__
 

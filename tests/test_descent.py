@@ -1,3 +1,4 @@
+import gc
 import sys
 from fractions import Fraction
 
@@ -426,6 +427,21 @@ class TestDescend:
         assert [g.terms for g in a.y_generators] == [g.terms for g in b.y_generators]
         assert a.map.components == b.map.components
         assert a.inverse.components == b.inverse.components
+
+    def test_repeated_runs_keep_no_field_alive(self):
+        # Each load builds a new NumberField.  No cache in the kernel or in
+        # the field arithmetic may keep one alive after its run.
+        text = read_fixture("conic.txt")
+
+        def live_fields():
+            gc.collect()
+            return sum(type(o) is wd.NumberField for o in gc.get_objects())
+
+        wd.descend(load_problem_text(text).datum)
+        before = live_fields()
+        for _ in range(20):
+            wd.descend(load_problem_text(text).datum)
+        assert live_fields() <= before
 
 
 class TestRunBudget:

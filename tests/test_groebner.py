@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -163,6 +164,8 @@ def oracle_cases(orders=("lex", "grevlex"), max_gens=3):
 EXTENSIONS = {
     "Q(i)": (wd.NumberField([1, 0, 1], gen_name="i"), sympy.I),
     "Q(sqrt 2)": (wd.NumberField([-2, 0, 1], gen_name="s"), sympy.sqrt(2)),
+    # j^2 = -1/4: the multiplication table has denominator 4, not 1
+    "Q(j)": (wd.NumberField([Fraction(1, 4), 0, 1], gen_name="j"), sympy.I / 2),
 }
 
 
@@ -282,8 +285,8 @@ class TestAgainstSympy:
         extension_terms(),
     )
     def test_extension_fields_match_sympy(self, name, order, gens, target):
-        """Over Q(sqrt 2) and Q(i), the reduced basis and the normal form
-        equal sympy's, which computes over the extension by the root."""
+        """Over Q(sqrt 2), Q(i) and Q(j), the reduced basis and the normal
+        form equal sympy's, which computes over the extension by the root."""
         field, root = EXTENSIONS[name]
         ring = wd.PolyRing(field, ("x", "y", "z"), wd.MonomialOrder(order))
 
@@ -414,6 +417,29 @@ class TestKernels:
         for lead, terms in py:
             assert lead == max(terms, key=order.key)
 
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_kernel_returns_elements_of_the_input_field(self, name):
+        # Inside a call coefficients are (num, den) pairs; both entry points
+        # hand back elements of the input's field object, in lowest terms.
+        from weildescent import kernel
+
+        field, _ = EXTENSIONS[name]
+        ring = wd.PolyRing(field, ("x", "y", "z"))
+        third = field.element([Fraction(1, 3), Fraction(-2, 5)])
+        gens = [p("x^2 + y*z - 1", ring).scale(third),
+                p("y^2 - x*z", ring).scale(field.gen)]
+        key = ring.order.key
+        basis = kernel.buchberger([g.terms for g in gens], key, [10**6])
+        target = p("x^3 + 7*y - z", ring).scale(third)
+        rem = kernel.normal_form(target.terms, basis, key, [10**6])
+        coeffs = [c for _, terms in basis for c in terms.values()]
+        coeffs += list(rem.values())
+        assert basis and rem
+        for c in coeffs:
+            assert type(c) is wd.NumberFieldElement and c.field is field
+            assert type(c.num) is tuple and all(type(v) is int for v in c.num)
+            assert c.den > 0 and gcd(c.den, *c.num) == 1
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
         st.sampled_from([("lex", None), ("grevlex", None), ("block", 1),
@@ -470,10 +496,10 @@ class TestKernels:
 
         reduce = _pykernel._reduce
 
-        def fitting(f, basis, pk, budget):
+        def fitting(f, basis, pk, nf, budget):
             f = list(f)
             assert not any(m & pk.guard for _, m, _ in f)
-            rem = reduce(f, basis, pk, budget)
+            rem = reduce(f, basis, pk, nf, budget)
             assert not any(m & pk.guard for _, m, _ in rem)
             return rem
 

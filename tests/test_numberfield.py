@@ -376,6 +376,41 @@ class TestArithmeticOracle:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(st.data())
     @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_pair_arithmetic(self, name, data):
+        # The field's functions on bare (num, den) pairs, as the Groebner
+        # kernel calls them.  Half the operands are rational, which takes the
+        # shortcut of the degree-2 forms when both are.
+        field, _ = _oracle_field(name)
+        minpoly, m = field.minpoly, field.degree
+
+        def operand():
+            a = data.draw(_oracle_vectors(m))
+            if data.draw(st.booleans()):
+                a = a[:1] + [Fraction(0)] * (m - 1)
+            x = field.element(a)
+            return a, (x.num, x.den)
+
+        (a, pa), (b, pb) = operand(), operand()
+        results = [
+            (field.pair_mul(pa, pb), _ref_mul(minpoly, a, b)),
+            (field.pair_add(pa, pb), [u + v for u, v in zip(a, b)]),
+            (field.pair_neg(pa), [-u for u in a]),
+        ]
+        if any(a):
+            results.append((field.pair_inv(pa), _ref_inv(minpoly, a)))
+        else:
+            with pytest.raises(wd.ZeroDenominator):
+                field.pair_inv(pa)
+        for (num, den), ref in results:
+            assert [Fraction(v, den) for v in num] == ref
+            assert type(num) is tuple and len(num) == m
+            assert all(type(v) is int for v in num) and type(den) is int
+            assert den > 0
+            assert gcd(den, *num) == 1
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
     def test_inverse_and_powers(self, name, data):
         field, _ = _oracle_field(name)
         minpoly = field.minpoly
