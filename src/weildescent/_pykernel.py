@@ -31,7 +31,7 @@ re-exports the two entry points.
   derived once per (order, number of variables, field width) and kept.
 - A coefficient is its (num, den) pair inside a call, the form in which an
   element stores itself, and arithmetic is the field's pair functions
-  (NumberField.pair_mul, pair_add, pair_neg and pair_inv; nf below is that
+  (NumberField.pair_mul, pair_add, pair_sub, pair_neg and pair_inv; nf is that
   field).  Each coefficient becomes a pair once, at entry or when
   normal_form first uses a divisor, and pairs become elements of the input's
   field object again only on the way out.  Nothing the module keeps between
@@ -424,16 +424,15 @@ def _spoly(lcm, key, di, dj, guard, nf):
         raise _Overflow
     ki = key - di[1]
     kj = key - dj[1]
-    plus, negate = nf.pair_add, nf.pair_neg
+    minus, negate = nf.pair_sub, nf.pair_neg
     spoly = {ki + k: (si + m, c) for k, m, c in di[3]}
     for k, m, c in dj[3]:
         kk = kj + k
         cur = spoly.get(kk)
-        c = negate(c)
         if cur is None:
-            spoly[kk] = (sj + m, c)
+            spoly[kk] = (sj + m, negate(c))
         else:
-            nxt = plus(cur[1], c)
+            nxt = minus(cur[1], c)
             if any(nxt[0]):
                 spoly[kk] = (cur[0], nxt)
             else:

@@ -6,8 +6,8 @@ denominator, in lowest terms: gcd(den, *num) == 1 (Cohen, *A Course in
 Computational Algebraic Number Theory*, section 4.2).  Equal elements thus
 have equal representations, and arithmetic is on Python ints; Fractions appear
 only where coordinates enter or leave an element.  Each field has one
-arithmetic on these (num, den) pairs, closed forms in degree 1 and 2 and
-loops over the multiplication table above that.  Element operators wrap it,
+arithmetic on these (num, den) pairs, closed forms in degree 2 and loops
+over the multiplication table in every other degree.  Element operators wrap it,
 and the Groebner kernel calls it on bare pairs.  The Galois group is given
 by the images of alpha under each automorphism; the base field K is always Q,
 represented implicitly as the fixed field of the group.
@@ -288,7 +288,7 @@ def _divides(h, g):
 
 # Pair arithmetic.  A pair is (num, den) exactly as an element stores it: a
 # tuple of m ints over one positive int, in lowest terms.  Each NumberField
-# builds one set of functions on pairs, mul, add, neg and inv, when it is
+# builds one set of functions on pairs, mul, add, sub, neg and inv, when it is
 # constructed; its elements and the Groebner kernel both call them.  They
 # close over the ints of the multiplication table, never over the field.
 
@@ -301,47 +301,6 @@ def _lowest(num, den):
             num = tuple(v // g for v in num)
             den //= g
     return num, den
-
-
-def _linear_arithmetic():
-    """Pair arithmetic of Q itself (degree 1)."""
-
-    def mul(a, b):
-        (x,), da = a
-        (y,), db = b
-        n, den = x * y, da * db
-        if den != 1:
-            g = gcd(n, den)
-            if g != 1:
-                n //= g
-                den //= g
-        return (n,), den
-
-    def add(a, b):
-        (x,), da = a
-        (y,), db = b
-        if da == db:
-            n, den = x + y, da
-        else:
-            n, den = x * db + y * da, da * db
-        if den != 1:
-            g = gcd(n, den)
-            if g != 1:
-                n //= g
-                den //= g
-        return (n,), den
-
-    def neg(a):
-        (x,), d = a
-        return (-x,), d
-
-    def inv(a):
-        (x,), d = a
-        if not x:
-            raise ZeroDenominator("division by zero in number field")
-        return ((d,), x) if x > 0 else ((-d,), -x)
-
-    return mul, add, neg, inv
 
 
 def _quadratic_arithmetic(r0, r1, t):
@@ -389,6 +348,21 @@ def _quadratic_arithmetic(r0, r1, t):
                 den //= g
         return (n0, n1), den
 
+    def sub(a, b):
+        (x0, x1), da = a
+        (y0, y1), db = b
+        if da == db:
+            n0, n1, den = x0 - y0, x1 - y1, da
+        else:
+            n0, n1, den = x0 * db - y0 * da, x1 * db - y1 * da, da * db
+        if den != 1:
+            g = gcd(den, n0, n1)
+            if g != 1:
+                n0 //= g
+                n1 //= g
+                den //= g
+        return (n0, n1), den
+
     def neg(a):
         (x0, x1), d = a
         return (-x0, -x1), d
@@ -405,12 +379,13 @@ def _quadratic_arithmetic(r0, r1, t):
             d, norm = -d, -norm
         return _lowest((d * (t * x0 + r1 * x1), -d * t * x1), norm)
 
-    return mul, add, neg, inv
+    return mul, add, sub, neg, inv
 
 
 def _general_arithmetic(m, t, high_powers):
-    """Pair arithmetic of a field of degree m >= 3, whose powers alpha^m ..
-    alpha^(2m-2) are the rows of high_powers over the denominator t."""
+    """Pair arithmetic of a field of degree m, whose powers alpha^m ..
+    alpha^(2m-2) are the rows of high_powers over the denominator t (in
+    degree 1, alpha itself is the one row)."""
 
     def mul(a, b):
         x, da = a
@@ -439,6 +414,13 @@ def _general_arithmetic(m, t, high_powers):
         if da == db:
             return _lowest(tuple(map(operator.add, x, y)), da)
         return _lowest(tuple(u * db + v * da for u, v in zip(x, y)), da * db)
+
+    def sub(a, b):
+        x, da = a
+        y, db = b
+        if da == db:
+            return _lowest(tuple(map(operator.sub, x, y)), da)
+        return _lowest(tuple(u * db - v * da for u, v in zip(x, y)), da * db)
 
     def neg(a):
         return tuple(map(operator.neg, a[0])), a[1]
@@ -480,18 +462,18 @@ def _general_arithmetic(m, t, high_powers):
             num, prev = tuple(-v for v in num), -prev
         return _lowest(num, prev)
 
-    return mul, add, neg, inv
+    return mul, add, sub, neg, inv
 
 
 class NumberField:
     """L = Q(alpha) for a monic irreducible minimal polynomial over Q.
 
-    pair_mul, pair_add, pair_neg and pair_inv are its arithmetic on
+    pair_mul, pair_add, pair_sub, pair_neg and pair_inv are its arithmetic on
     (num, den) pairs, the form in which its elements store themselves.
     """
 
     __slots__ = ("minpoly", "gen_name", "degree",
-                 "pair_mul", "pair_add", "pair_neg", "pair_inv")
+                 "pair_mul", "pair_add", "pair_sub", "pair_neg", "pair_inv")
 
     def __init__(self, minpoly_coeffs, gen_name="a"):
         coeffs = tuple(_as_fraction(c) for c in minpoly_coeffs)
@@ -520,13 +502,12 @@ class NumberField:
             cur = nxt
         den = lcm(*(c.denominator for row in powers for c in row))
         high_powers = tuple(tuple(int(c * den) for c in row) for row in powers)
-        if m == 1:
-            arithmetic = _linear_arithmetic()
-        elif m == 2:
+        if m == 2:
             arithmetic = _quadratic_arithmetic(*high_powers[0], den)
         else:
             arithmetic = _general_arithmetic(m, den, high_powers)
-        self.pair_mul, self.pair_add, self.pair_neg, self.pair_inv = arithmetic
+        (self.pair_mul, self.pair_add, self.pair_sub, self.pair_neg,
+         self.pair_inv) = arithmetic
 
     def __repr__(self):
         return f"NumberField(deg={self.degree}, gen={self.gen_name!r})"
@@ -653,8 +634,8 @@ class NumberFieldElement:
             if other is NotImplemented:
                 return other
         field = self.field
-        return NumberFieldElement(field, *field.pair_add(
-            (self.num, self.den), field.pair_neg((other.num, other.den))))
+        return NumberFieldElement(
+            field, *field.pair_sub((self.num, self.den), (other.num, other.den)))
 
     def __rsub__(self, other):
         return (-self) + other

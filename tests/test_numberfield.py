@@ -394,6 +394,7 @@ class TestArithmeticOracle:
         results = [
             (field.pair_mul(pa, pb), _ref_mul(minpoly, a, b)),
             (field.pair_add(pa, pb), [u + v for u, v in zip(a, b)]),
+            (field.pair_sub(pa, pb), [u - v for u, v in zip(a, b)]),
             (field.pair_neg(pa), [-u for u in a]),
         ]
         if any(a):
