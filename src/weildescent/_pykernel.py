@@ -7,7 +7,9 @@ normal_form, as (lead monomial, monic terms) pairs.  weildescent.kernel
 re-exports the two entry points.
 
 - buchberger takes S-pairs in order of sugar degree (Giovini, Mora, Niesi,
-  Robbiano, Traverso, "One sugar cube, please", ISSAC 1991).
+  Robbiano, Traverso, "One sugar cube, please", ISSAC 1991).  It prunes
+  pairs once, as each basis element enters, by Gebauer and Moller's update
+  (JSC 6, 1988; UPDATE in Becker & Weispfenning, Groebner Bases, 1993).
 - Division keeps the polynomial being reduced as a dict plus a heap of its
   monomials, so each step pops the largest term instead of scanning every
   term (Monagan & Pearce, CASC 2007).
@@ -331,9 +333,10 @@ def buchberger(gens, keyf, budget):
     Each basis element carries a sugar degree: the total degree of an input
     generator, and for a reduced S-polynomial the sugar of its pair,
     max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j).
-    Pairs leave the queue by (sugar, key(lcm), i, j), after the product and
-    chain criteria.  Deterministic: identical inputs produce identical
-    output lists.
+    Each element, input generators included, enters through Gebauer and
+    Moller's update, which queues only the pairs their criteria keep; pairs
+    leave the queue by (sugar, key(lcm), i, j).  Deterministic: identical
+    inputs produce identical output lists.
     """
     gens = [terms for terms in gens if terms]
     if not gens:
@@ -368,49 +371,60 @@ def _buchberger(gens, pk, nf, budget):
     degree = [sum(unpack(d[0])) for d in basis]
     ecart = [s - deg for (_, s), deg in zip(start, degree)]  # sugar - deg lead
 
-    pending = set()
-    heap = []
+    heap, live = [], []
 
-    def push_pairs(j):
-        dj, kj, ecart_j = degree[j], basis[j][1], ecart[j]
-        lj = leads[j]
-        for i in range(j):
+    def update(t):
+        """Gebauer and Moller's update for the new element t: drop queued
+        pairs that t makes redundant, queue the pairs (i, t) with live i that
+        survive the criteria, and retire the live i whose lead lead(t)
+        divides.  A retired element stays a reducer."""
+        lt, kt, et = leads[t], basis[t][1], ecart[t]
+        # B: lead(t) divides lcm(i, j), and neither lcm(i, t) nor lcm(j, t) is it.
+        kept = [q for q in heap if ((q[4] | guard) - lt) & guard != guard
+                or lcm_of(leads[q[2]], lt) == q[4] or lcm_of(leads[q[3]], lt) == q[4]]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        candidates = []
+        for i in live:
             li = leads[i]
-            lcm = lcm_of(li, lj)
-            if lcm == li + lj:  # coprime leads: keys and degrees add
-                key, deg = -(basis[i][1] + kj), degree[i] + dj
+            lcm = lcm_of(li, lt)
+            if lcm == li + lt:  # coprime leads: the keys add
+                candidates.append((-(basis[i][1] + kt), False, i, lcm, 0))
             else:
                 e = unpack(lcm)
-                key, deg = -sum(map(mul, e, weights)), sum(e)
-            pending.add((i, j))
-            heapq.heappush(heap, (max(ecart[i], ecart_j) + deg, key, i, j, lcm))
+                candidates.append((-sum(map(mul, e, weights)), True, i, lcm, sum(e)))
+        # By key of the lcm, coprime first at equal lcm: a kept lcm that
+        # divides a later one (M and F) comes before it.
+        candidates.sort()
+        lcms = []
+        for key, shared, i, lcm, deg in candidates:
+            lg = lcm | guard
+            for m in lcms:
+                if (lg - m) & guard == guard:
+                    break
+            else:
+                lcms.append(lcm)
+                if shared:  # the product criterion drops coprime pairs
+                    heapq.heappush(heap, (max(ecart[i], et) + deg, key, i, t, lcm))
+        live[:] = [i for i in live if ((leads[i] | guard) - lt) & guard != guard]
+        live.append(t)
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for t in range(len(basis)):
+        update(t)
 
     while heap:
         s, key, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        if leads[i] + leads[j] == lcm:
-            continue  # product criterion
-        lg = lcm | guard
-        for k, lk in enumerate(leads):
-            if (lg - lk) & guard == guard and k != i and k != j:
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    break  # chain criterion
-        else:
-            _spend(budget)
-            spoly = _spoly(lcm, -key, basis[i], basis[j], guard, nf)
-            rem = _reduce(spoly, basis, pk, nf, budget)
-            if rem:
-                d = _monic(rem, pk, nf)
-                basis.append(d)
-                leads.append(d[0])
-                degree.append(sum(unpack(d[0])))
-                ecart.append(s - degree[-1])
-                push_pairs(len(basis) - 1)
+        _spend(budget)
+        spoly = _spoly(lcm, -key, basis[i], basis[j], guard, nf)
+        rem = _reduce(spoly, basis, pk, nf, budget)
+        if rem:
+            d = _monic(rem, pk, nf)
+            basis.append(d)
+            leads.append(d[0])
+            degree.append(sum(unpack(d[0])))
+            ecart.append(s - degree[-1])
+            update(len(basis) - 1)
 
     return _interreduce(basis, pk, nf, budget)
 

@@ -1,10 +1,13 @@
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.orderings import ProductOrder, grevlex as sympy_grevlex
+from sympy.polys.rings import ring as sympy_ring
 
 import weildescent as wd
 from tests.conftest import humbert_datum
@@ -129,13 +132,31 @@ class TestBases:
 SYMPY_XYZ = sympy.symbols("x y z")
 
 QQ_I = sympy.QQ.algebraic_field(sympy.I)
+# Q(2 cos(2 pi / 7)): sympy's primitive element has the minimal polynomial
+# t^3 + t^2 - 2t - 1 of the cyclic cubic field of conftest.py.
+QQ_CUBIC = sympy.QQ.algebraic_field(2 * sympy.cos(2 * sympy.pi / 7))
 
 # Coefficient fields of the random oracle cases: (field, sympy's domain, a
 # map from power-basis coefficient vectors to elements of that domain).
 ORACLE_FIELDS = {
     "Q": (wd.NumberField([0, 1], gen_name="q0"), sympy.QQ, lambda v: sympy.QQ(v[0])),
     "Q(i)": (wd.NumberField([1, 0, 1], gen_name="i"), QQ_I, lambda v: QQ_I(v[::-1])),
+    "cubic": (wd.NumberField([-1, -2, 1, 1], gen_name="a"), QQ_CUBIC,
+              lambda v: QQ_CUBIC(v[::-1])),
 }
+
+# sympy's name for each of the package's orders in x, y, z; block, with
+# split 1, is grevlex in x, then grevlex in y, z.
+SYMPY_ORDERS = {
+    "lex": "lex",
+    "grevlex": "grevlex",
+    "block": ProductOrder((sympy_grevlex, lambda m: m[:1]),
+                          (sympy_grevlex, lambda m: m[1:])),
+}
+
+
+def package_order(name):
+    return wd.MonomialOrder("block", split=1) if name == "block" else wd.MonomialOrder(name)
 
 
 def oracle_terms(degree):
@@ -146,7 +167,7 @@ def oracle_terms(degree):
     return st.dictionaries(mono, coeff, min_size=1, max_size=4)
 
 
-def oracle_cases(orders=("lex", "grevlex"), max_gens=3):
+def oracle_cases(orders=("lex", "grevlex"), max_gens=3, fields=("Q", "Q(i)")):
     """(field name, order, 1 to max_gens generators, one more polynomial)."""
     def for_field(name):
         terms = oracle_terms(ORACLE_FIELDS[name][0].degree)
@@ -156,7 +177,7 @@ def oracle_cases(orders=("lex", "grevlex"), max_gens=3):
             st.lists(terms, min_size=1, max_size=max_gens),
             terms,
         )
-    return st.sampled_from(sorted(ORACLE_FIELDS)).flatmap(for_field)
+    return st.sampled_from(fields).flatmap(for_field)
 
 
 # Fields of the extension oracle: the package's field and the root that
@@ -208,6 +229,36 @@ def assert_cached_basis_is_reduced(I):
     assert cached.divisors == wd.groebner(I, grevlex).divisors
 
 
+def assert_matches_sympy(name, order, gens, target):
+    """The reduced basis of the term dicts gens, and the normal form of
+    target modulo it, equal sympy's over the field called name."""
+    field, domain, _ = ORACLE_FIELDS[name]
+    ring = wd.PolyRing(field, ("x", "y", "z"), package_order(order))
+
+    def poly(terms):
+        return wd.MultiPoly(ring, {m: field.element(c) for m, c in terms.items()})
+
+    gb = wd.groebner(wd.Ideal(ring, [poly(g) for g in gens]))
+    order = SYMPY_ORDERS[order]
+    theirs = sympy.groebner(
+        [to_sympy(poly(g), name) for g in gens],
+        *SYMPY_XYZ, order=order, domain=domain,
+    )
+    assert {to_sympy(g, name) for g in gb.elements} == set(theirs.polys)
+    assert len(gb.elements) == len(theirs.polys)
+
+    # Division in sympy's polynomial ring: sympy.reduced converts through
+    # expressions, which takes seconds over Q(2 cos(2 pi / 7)).
+    R = sympy_ring("x y z", domain, order=order)[0]
+
+    def in_ring(P):
+        return R.from_dict(to_sympy(P, name).as_dict(native=True))
+
+    f = poly(target)
+    rem = in_ring(f).rem([R.from_dict(g.as_dict(native=True)) for g in theirs.polys])
+    assert in_ring(wd.normal_form(f, gb)) == rem
+
+
 class TestAgainstSympy:
     """Independent cross-check of reduced bases and normal forms."""
 
@@ -256,26 +307,14 @@ class TestAgainstSympy:
     @given(oracle_cases())
     def test_random_ideals_match_sympy(self, case):
         """Reduced basis and normal form equal sympy's on a random ideal."""
-        name, order, gens, target = case
-        field, domain, _ = ORACLE_FIELDS[name]
-        ring = wd.PolyRing(field, ("x", "y", "z"), wd.MonomialOrder(order))
+        assert_matches_sympy(*case)
 
-        def poly(terms):
-            return wd.MultiPoly(ring, {m: field.element(c) for m, c in terms.items()})
-
-        gb = wd.groebner(wd.Ideal(ring, [poly(g) for g in gens]))
-        theirs = sympy.groebner(
-            [to_sympy(poly(g), name) for g in gens],
-            *SYMPY_XYZ, order=order, domain=domain,
-        )
-        assert {to_sympy(g, name) for g in gb.elements} == set(theirs.polys)
-        assert len(gb.elements) == len(theirs.polys)
-
-        f = poly(target)
-        _, rem = sympy.reduced(
-            to_sympy(f, name), theirs.polys, *SYMPY_XYZ, order=order, domain=domain
-        )
-        assert to_sympy(wd.normal_form(f, gb), name) == rem
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(oracle_cases(orders=("grevlex",), fields=("cubic",)))
+    def test_cubic_field_matches_sympy(self, case):
+        """Over the cyclic cubic field, whose products reduce by a degree-3
+        table, the reduced grevlex basis and normal form equal sympy's."""
+        assert_matches_sympy(*case)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
@@ -351,6 +390,51 @@ class TestAgainstSympy:
         assert reduced_terms(sat) == reduced_terms(by_hand)
         assert_cached_basis_is_reduced(sat)
         assert_cached_basis_is_reduced(by_hand)
+
+
+class TestPairCriteria:
+    """Inputs at the edges of the criteria that prune S-pairs as each basis
+    element is inserted: a generator whose lead is a multiple of another's,
+    one given twice, a constant, and a coprime and a non-coprime pair with
+    one lcm.  The leads that make each case are the same in lex, grevlex
+    and block order."""
+
+    CASES = {
+        # x^2*y is a multiple of x*y, the lead of a later generator.
+        "redundant": ["x^2*y + z", "y^2 - x*z", "x*y - z^2"],
+        "duplicate": ["x*y - z^2", "y^2 - x*z", "x*y - z^2"],
+        "constant": ["x^2 - y", "3", "y*z - x"],
+        # Leads z^2, y*z^2 and y^3: inserting y^3 meets the coprime pair with
+        # z^2 and the pair with y*z^2, both of lcm y^3*z^2.
+        "equal_lcm": ["z^2 + z - 1", "y*z^2 - y*z + 2", "y^3 - z^2 + y", "x^2 - y*z"],
+    }
+    TARGET = "x^3*y + 2*y^2*z - x + 5"
+
+    @staticmethod
+    def terms(texts, order):
+        ring = wd.PolyRing(ORACLE_FIELDS["Q"][0], ("x", "y", "z"), package_order(order))
+        return [p(t, ring).terms for t in texts]
+
+    @pytest.mark.parametrize("order", sorted(SYMPY_ORDERS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_sympy(self, case, order):
+        gens = self.terms(self.CASES[case], order)
+        target = self.terms([self.TARGET], order)[0]
+        to_vector = lambda terms: {m: c.coeffs for m, c in terms.items()}
+        assert_matches_sympy("Q", order, list(map(to_vector, gens)), to_vector(target))
+
+    @pytest.mark.parametrize("order", sorted(SYMPY_ORDERS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_generator_order_is_irrelevant(self, case, order):
+        # The reduced basis is unique, and the kernel returns it with each
+        # element's terms in one order, whatever pairs the criteria kept.
+        key = package_order(order).key
+        bases = {
+            tuple((lead, tuple(terms.items()))
+                  for lead, terms in wd.kernel.buchberger(gens, key, [10**6]))
+            for gens in permutations(self.terms(self.CASES[case], order))
+        }
+        assert len(bases) == 1
 
 
 class TestImageIdeal:
