@@ -1,8 +1,8 @@
 """Pure-Python Buchberger kernel.
 
-Polynomials enter as dicts exponent-tuple -> coefficient, where coefficients
-are NumberFieldElements of one field.  The monomial order enters as its key
-function (MonomialOrder.key).  A basis leaves buchberger, and divisors enter
+Polynomials enter as nonzero dicts exponent-tuple -> coefficient, where
+coefficients are NumberFieldElements of one field.  The monomial order enters
+as the MonomialOrder itself.  A basis leaves buchberger, and divisors enter
 normal_form, as (lead monomial, monic terms) pairs.  weildescent.kernel
 re-exports the two entry points.
 
@@ -54,7 +54,6 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from operator import itemgetter, mul
-from types import FunctionType
 
 from .errors import ResourceLimit
 
@@ -174,32 +173,22 @@ def _unit_keys(keyf, nvars):
     return [keyf(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
 
 
-def _packing(keyf, nvars, width):
-    """The _Packing of keyf in nvars variables, built on first use.
-
-    A key function that closes over nothing is fixed by its code and
-    defaults, so every MonomialOrder of one kind and split shares an entry.
-    Any other key is told apart by its values on the unit vectors, which fix
-    a linear key.
-    """
-    if type(keyf) is FunctionType and keyf.__closure__ is None:
-        order = (keyf.__code__, keyf.__defaults__)
-    else:
-        order = tuple(_unit_keys(keyf, nvars))
+def _packing(order, nvars, width):
+    """The _Packing of a MonomialOrder in nvars variables, built on first use."""
     pk = _PACKINGS.get((order, nvars, width))
     if pk is None:
-        pk = _PACKINGS[order, nvars, width] = _Packing(keyf, nvars, width)
+        pk = _PACKINGS[order, nvars, width] = _Packing(order.key, nvars, width)
     return pk
 
 
-def _packed(run, nvars, keyf, budget):
+def _packed(run, nvars, order, budget):
     """run(packing), first with 16-bit fields, then twice as wide after each
     _Overflow, with the budget reset to its value on entry."""
     left = budget[0]
     width = _FIRST_WIDTH
     while True:
         try:
-            return run(_packing(keyf, nvars, width))
+            return run(_packing(order, nvars, width))
         except _Overflow:
             budget[0] = left
             width *= 2
@@ -261,8 +250,6 @@ def _reduce(f, basis, pk, nf, budget):
     for k, m, c in f:
         h[k] = c
         mono[k] = m
-    if not h:
-        return []  # normal_form of 0, which has no field to take
     heap = list(h)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -305,16 +292,12 @@ def _reduce(f, basis, pk, nf, budget):
     return remainder
 
 
-def normal_form(f, divisors, keyf, budget):
-    """Full remainder of f modulo (lead, monic terms) divisors, e.g. a basis
-    as buchberger returns it."""
-    if not f:
-        divisors = ()  # the remainder of 0 is 0: no divisor is packed
-        nf = element = None
-    else:
-        first = next(iter(f.values()))
-        nf, element = first.field, type(first)
-        f = _pairs(f)
+def normal_form(f, divisors, order, budget):
+    """Full remainder of a nonzero f modulo (lead, monic terms) divisors,
+    e.g. a basis as buchberger returns it."""
+    first = next(iter(f.values()))
+    nf, element = first.field, type(first)
+    f = _pairs(f)
 
     def run(pk):
         pack = pk.pack
@@ -323,12 +306,12 @@ def normal_form(f, divisors, keyf, budget):
         rem = _reduce(pk.terms(f), basis, pk, nf, budget)
         return {unpack(m): element(nf, *c) for _, m, c in rem}
 
-    return _packed(run, len(next(iter(f), ())), keyf, budget)
+    return _packed(run, len(next(iter(f))), order, budget)
 
 
-def buchberger(gens, keyf, budget):
-    """Reduced, monic Groebner basis of the given generators, as a list of
-    (lead monomial, monic terms) sorted ascending by key.
+def buchberger(gens, order, budget):
+    """Reduced, monic Groebner basis of the given nonzero generators, as a
+    list of (lead monomial, monic terms) sorted ascending by key.
 
     Each basis element carries a sugar degree: the total degree of an input
     generator, and for a reduced S-polynomial the sugar of its pair,
@@ -338,7 +321,6 @@ def buchberger(gens, keyf, budget):
     leave the queue by (sugar, key(lcm), i, j).  Deterministic: identical
     inputs produce identical output lists.
     """
-    gens = [terms for terms in gens if terms]
     if not gens:
         return []
     first = next(iter(gens[0].values()))
@@ -353,7 +335,7 @@ def buchberger(gens, keyf, budget):
             for d in _buchberger(gens, pk, nf, budget)
         ]
 
-    return _packed(run, len(next(iter(gens[0]))), keyf, budget)
+    return _packed(run, len(next(iter(gens[0]))), order, budget)
 
 
 def _buchberger(gens, pk, nf, budget):
@@ -368,8 +350,7 @@ def _buchberger(gens, pk, nf, budget):
     basis = [d for d, _ in start]
     leads = [d[0] for d in basis]
     unpack, guard, lcm_of, weights = pk.unpack, pk.guard, pk.lcm, pk.weights
-    degree = [sum(unpack(d[0])) for d in basis]
-    ecart = [s - deg for (_, s), deg in zip(start, degree)]  # sugar - deg lead
+    ecart = [s - sum(unpack(d[0])) for d, s in start]  # sugar - deg lead
 
     heap, live = [], []
 
@@ -422,8 +403,7 @@ def _buchberger(gens, pk, nf, budget):
             d = _monic(rem, pk, nf)
             basis.append(d)
             leads.append(d[0])
-            degree.append(sum(unpack(d[0])))
-            ecart.append(s - degree[-1])
+            ecart.append(s - sum(unpack(d[0])))
             update(len(basis) - 1)
 
     return _interreduce(basis, pk, nf, budget)

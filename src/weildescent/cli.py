@@ -65,6 +65,9 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _effective(args, problem):
     prune = problem.options.get("prune", False) or bool(args.prune)
     want_inverse = problem.options.get("inverse", True) and not args.no_inverse
@@ -126,10 +129,7 @@ def cmd_check_model(args) -> int:
 
 
 def main(argv=None) -> int:
-    # No reference to the parser outlives parsing: argparse objects form
-    # reference cycles, and a collection during a long command would move
-    # them to the oldest generation, where they wait for a full collection.
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "descend": cmd_descend,
         "verify-datum": cmd_verify_datum,

@@ -91,7 +91,7 @@ def groebner(I: Ideal, order=None, budget=None) -> GroebnerBasis:
     order = order or I.ring.order
     gens = [g.terms for g in I.generators]
     with _run(budget):
-        divisors = kernel.buchberger(gens, order.key, _as_budget(None))
+        divisors = kernel.buchberger(gens, order, _as_budget(None))
     ring = I.ring if I.ring.order == order else I.ring.with_order(order)
     return GroebnerBasis(ring, divisors)
 
@@ -100,7 +100,9 @@ def normal_form(P: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
     """Unique remainder of P modulo the basis; zero iff P is in the ideal."""
     if P.ring.variables != gb.ring.variables or P.ring.field != gb.ring.field:
         raise InputError("polynomial and basis live in different rings")
-    rem = kernel.normal_form(P.terms, gb.divisors, gb.ring.order.key, _as_budget(None))
+    if P.is_zero():
+        return gb.ring.zero
+    rem = kernel.normal_form(P.terms, gb.divisors, gb.ring.order, _as_budget(None))
     return MultiPoly(gb.ring, rem)
 
 

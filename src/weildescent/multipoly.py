@@ -409,7 +409,7 @@ def _lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         | {(1,) + m: -c for m, c in q.terms.items()},
     ]
     basis = kernel.buchberger(
-        gens, MonomialOrder("block", split=1).key, _as_budget(None)
+        gens, MonomialOrder("block", split=1), _as_budget(None)
     )
     (terms,) = [terms for lead, terms in basis if not lead[0]]
     return MultiPoly(p.ring, {m[1:]: c for m, c in terms.items()})

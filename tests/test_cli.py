@@ -1,10 +1,13 @@
 import argparse
 import gc
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
 from weildescent import cli
@@ -66,21 +69,65 @@ def test_non_positive_budget_exit_two(command, budget, capsys):
     assert out == ""
 
 
-def test_parser_is_garbage_while_the_command_runs(monkeypatch):
-    # argparse objects form reference cycles; one still referenced during a
-    # long command could be moved to the oldest generation of the collector.
-    live = []
+def test_one_parser_serves_every_command(monkeypatch):
+    # The parser is built once, at import: the weildescent parsers alive
+    # while a command runs are the same objects on every call, so none pile
+    # up in the collector's oldest generation over many calls.
+    seen = []
 
     def command(args):
         gc.collect()
-        live.extend(o for o in gc.get_objects()
-                    if isinstance(o, argparse.ArgumentParser)
-                    and o.prog.startswith("weildescent"))
+        seen.append({id(o): o for o in gc.get_objects()
+                     if isinstance(o, argparse.ArgumentParser)
+                     and o.prog.startswith("weildescent")})
         return 0
 
     monkeypatch.setattr(cli, "cmd_verify_datum", command)
-    assert main(["verify-datum", fixture_path("humbert.txt")]) == 0
-    assert live == []
+    for _ in range(3):
+        assert main(["verify-datum", fixture_path("humbert.txt")]) == 0
+    assert seen[0] and seen[0].keys() == seen[1].keys() == seen[2].keys()
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    for argv in (["descend", fixture_path("conic.txt"), "--order", "bogus"],
+                 ["check-model", fixture_path("conic.txt")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "descend", fixture_path("conic.txt"))
+    assert code == 0
+    assert out == read_fixture("conic_unpruned_result.txt")
+
+
+_CONIC = read_fixture("conic.txt").split("\n")
+# The lines of the [variety] and [datum.conj] sections, headers included.
+_FUZZED_LINES = [k for k in range(_CONIC.index("[variety]"), len(_CONIC)) if _CONIC[k]]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_one_character_edit_ends_in_an_exit_code(tmp_path_factory, data):
+    # One insert, delete or replace of a character in the conic's variety or
+    # datum: verify-datum exits 0-3, or argparse stops it with status 2.
+    k = data.draw(st.sampled_from(_FUZZED_LINES))
+    line = _CONIC[k]
+    pos = data.draw(st.integers(0, len(line) - 1))
+    new = data.draw(st.sampled_from(list("0123456789xi()+-*^,=")))
+    edited = data.draw(st.sampled_from([
+        line[:pos] + new + line[pos:],
+        line[:pos] + line[pos + 1:],
+        line[:pos] + new + line[pos + 1:],
+    ]))
+    path = tmp_path_factory.getbasetemp() / "edited_conic.txt"
+    path.write_text("\n".join(_CONIC[:k] + [edited] + _CONIC[k + 1:]))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(["verify-datum", str(path), "--budget", "5000"])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2, 3)
 
 
 def test_runtime_does_not_import_sympy():
