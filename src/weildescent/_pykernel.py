@@ -31,13 +31,12 @@ re-exports the two entry points.
   twice as wide, so each step is counted once.  Exponent tuples and ints are
   converted only on the way in and out.  The layout and the weights are
   derived once per (order, number of variables, field width) and kept.
-- A coefficient is its (num, den) pair inside a call, the form in which an
-  element stores itself, and arithmetic is the field's pair functions
-  (NumberField.pair_mul, pair_add, pair_sub, pair_neg and pair_inv; nf is that
-  field).  Each coefficient becomes a pair once, at entry or when
-  normal_form first uses a divisor, and pairs become elements of the input's
-  field object again only on the way out.  Nothing the module keeps between
-  calls refers to a field.
+- A coefficient is its (num, den) pair inside a call, and arithmetic is the
+  field's pair functions (NumberField.pair_mul, pair_add, pair_sub, pair_neg
+  and pair_inv; nf is that field).  The kernel reads c.pair, the one form in
+  which an element c stores itself, as it packs each term, and wraps pairs
+  as elements of the input's field object again only on the way out.
+  Nothing the module keeps between calls refers to a field.
 
 The budget is a single-element list of remaining reduction steps, decremented
 in place so one cap can span a whole pipeline.  This module owns the run's
@@ -157,9 +156,10 @@ class _Packing:
         self.weights = tuple(-k for k in key)
 
     def terms(self, poly):
-        """(negated key, monomial, coefficient) triples of a dict polynomial."""
+        """(negated key, monomial, coefficient pair) triples of a dict
+        polynomial."""
         pack, weights = self.pack, self.weights
-        return [(sum(map(mul, e, weights)), pack(e), c) for e, c in poly.items()]
+        return [(sum(map(mul, e, weights)), pack(e), c.pair) for e, c in poly.items()]
 
     def lcm(self, a, b):
         """The least common multiple of two packed monomials."""
@@ -218,15 +218,10 @@ def _monic(terms, pk, nf):
     return _divisor((k0, lead, times(c0, inv)), tail, pk)
 
 
-def _pairs(poly):
-    """A dict polynomial with each coefficient as its (num, den) pair."""
-    return {e: (c.num, c.den) for e, c in poly.items()}
-
-
 def _fill(d, pk):
     """Pack the terms of a divisor that normal_form was handed; its
     coefficients are monic already."""
-    triples = pk.terms(_pairs(d[2]))
+    triples = pk.terms(d[2])
     first = next(t for t in triples if t[1] == d[0])
     triples.remove(first)
     d[:] = _divisor(first, triples, pk)
@@ -297,14 +292,13 @@ def normal_form(f, divisors, order, budget):
     e.g. a basis as buchberger returns it."""
     first = next(iter(f.values()))
     nf, element = first.field, type(first)
-    f = _pairs(f)
 
     def run(pk):
         pack = pk.pack
         basis = [[pack(lead), None, terms, None, None] for lead, terms in divisors]
         unpack = pk.unpack
         rem = _reduce(pk.terms(f), basis, pk, nf, budget)
-        return {unpack(m): element(nf, *c) for _, m, c in rem}
+        return {unpack(m): element(nf, c) for _, m, c in rem}
 
     return _packed(run, len(next(iter(f))), order, budget)
 
@@ -325,13 +319,12 @@ def buchberger(gens, order, budget):
         return []
     first = next(iter(gens[0].values()))
     nf, element = first.field, type(first)
-    gens = [_pairs(terms) for terms in gens]
 
     def run(pk):
         unpack = pk.unpack
         return [
             (unpack(d[0]),
-             {unpack(m): element(nf, *c) for _, m, c in _divisor_terms(d)})
+             {unpack(m): element(nf, c) for _, m, c in _divisor_terms(d)})
             for d in _buchberger(gens, pk, nf, budget)
         ]
 

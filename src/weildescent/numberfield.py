@@ -1,14 +1,15 @@
 """Exact arithmetic in a Galois number field L = Q(alpha).
 
 An element is its coordinate vector in the power basis 1, alpha, ...,
-alpha^(m-1), stored as m integer numerators over one positive integer
-denominator, in lowest terms: gcd(den, *num) == 1 (Cohen, *A Course in
-Computational Algebraic Number Theory*, section 4.2).  Equal elements thus
-have equal representations, and arithmetic is on Python ints; Fractions appear
-only where coordinates enter or leave an element.  Each field has one
-arithmetic on these (num, den) pairs, closed forms in degree 2 and loops
-over the multiplication table in every other degree.  Element operators wrap it,
-and the Groebner kernel calls it on bare pairs.  The Galois group is given
+alpha^(m-1), stored as one pair (num, den): m integer numerators over one
+positive integer denominator, in lowest terms: gcd(den, *num) == 1 (Cohen,
+*A Course in Computational Algebraic Number Theory*, section 4.2).  Equal
+elements thus have equal pairs, and arithmetic is on Python ints; Fractions
+appear only where coordinates enter or leave an element.  Each field has one
+arithmetic on these pairs, closed forms in degree 2 and loops over the
+multiplication table in every other degree.  Element operators pass it their
+pairs and wrap the pair it returns, and the Groebner kernel calls it on the
+pairs it reads off its coefficients.  The Galois group is given
 by the images of alpha under each automorphism; the base field K is always Q,
 represented implicitly as the fixed field of the group.
 """
@@ -286,7 +287,7 @@ def _divides(h, g):
     return not any(r[:n])
 
 
-# Pair arithmetic.  A pair is (num, den) exactly as an element stores it: a
+# Pair arithmetic.  A pair is (num, den), an element's one stored form: a
 # tuple of m ints over one positive int, in lowest terms.  Each NumberField
 # builds one set of functions on pairs, mul, add, sub, neg and inv, when it is
 # constructed; its elements and the Groebner kernel both call them.  They
@@ -469,7 +470,7 @@ class NumberField:
     """L = Q(alpha) for a monic irreducible minimal polynomial over Q.
 
     pair_mul, pair_add, pair_sub, pair_neg and pair_inv are its arithmetic on
-    (num, den) pairs, the form in which its elements store themselves.
+    (num, den) pairs, the one form in which its elements store themselves.
     """
 
     __slots__ = ("minpoly", "gen_name", "degree",
@@ -536,7 +537,7 @@ class NumberField:
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
         num += [0] * (self.degree - len(num))
-        return NumberFieldElement(self, tuple(num), den)
+        return NumberFieldElement(self, (tuple(num), den))
 
     def rational(self, x) -> "NumberFieldElement":
         if isinstance(x, int):
@@ -544,7 +545,7 @@ class NumberField:
         else:
             x = _as_fraction(x)
             num, den = x.numerator, x.denominator
-        return NumberFieldElement(self, (num,) + (0,) * (self.degree - 1), den)
+        return NumberFieldElement(self, ((num,) + (0,) * (self.degree - 1), den))
 
     @property
     def zero(self):
@@ -564,47 +565,43 @@ class NumberField:
     # -- element arithmetic that the tracer counts ----------------------------
 
     def _mul(self, a, b):
-        return NumberFieldElement(self, *self.pair_mul((a.num, a.den), (b.num, b.den)))
+        return NumberFieldElement(self, self.pair_mul(a.pair, b.pair))
 
     def _inv(self, a):
-        return NumberFieldElement(self, *self.pair_inv((a.num, a.den)))
-
-
-def _reduced(field, num, den):
-    """The element num/den, den > 0, with the common gcd divided out."""
-    return NumberFieldElement(field, *_lowest(num, den))
+        return NumberFieldElement(self, self.pair_inv(a.pair))
 
 
 class NumberFieldElement:
-    """num/den in the power basis: num is a tuple of m ints and den a positive
-    int, in lowest terms (gcd(den, *num) == 1), so that equal elements have
-    equal representations.  Build elements with NumberField.element or
-    NumberField.rational."""
+    """num/den in the power basis, stored as the pair (num, den): num is a
+    tuple of m ints and den a positive int, in lowest terms
+    (gcd(den, *num) == 1), so that equal elements have equal pairs.  Build
+    elements with NumberField.element or NumberField.rational."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "pair")
 
-    def __init__(self, field: NumberField, num, den):
+    def __init__(self, field: NumberField, pair):
         self.field = field
-        self.num = num
-        self.den = den
+        self.pair = pair
 
     @property
     def coeffs(self):
         """The power-basis coordinates as Fractions."""
-        return tuple(Fraction(v, self.den) for v in self.num)
+        num, den = self.pair
+        return tuple(Fraction(v, den) for v in num)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.num)
+        return not any(self.pair[0])
 
     def is_rational(self):
-        return not any(self.num[1:])
+        return not any(self.pair[0][1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
+        num, den = self.pair
+        return Fraction(num[0], den)
 
     # -- arithmetic: wrappers over the field's pair arithmetic -----------------
 
@@ -622,9 +619,7 @@ class NumberFieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        field = self.field
-        return NumberFieldElement(
-            field, *field.pair_add((self.num, self.den), (other.num, other.den)))
+        return NumberFieldElement(self.field, self.field.pair_add(self.pair, other.pair))
 
     __radd__ = __add__
 
@@ -633,16 +628,13 @@ class NumberFieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        field = self.field
-        return NumberFieldElement(
-            field, *field.pair_sub((self.num, self.den), (other.num, other.den)))
+        return NumberFieldElement(self.field, self.field.pair_sub(self.pair, other.pair))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        field = self.field
-        return NumberFieldElement(field, *field.pair_neg((self.num, self.den)))
+        return NumberFieldElement(self.field, self.field.pair_neg(self.pair))
 
     def __mul__(self, other):
         if type(other) is not NumberFieldElement or other.field is not self.field:
@@ -679,13 +671,12 @@ class NumberFieldElement:
             other = self.field.rational(other)
         return (
             isinstance(other, NumberFieldElement)
-            and self.num == other.num
-            and self.den == other.den
+            and self.pair == other.pair
             and self.field == other.field
         )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.pair)
 
     # -- printing (parseable by the expression grammar) -----------------------
 
@@ -785,12 +776,13 @@ class GaloisGroup:
     def apply(self, sigma: int, a: NumberFieldElement) -> NumberFieldElement:
         """sigma(a): evaluate a's power-basis polynomial at sigma(alpha)."""
         rows, den = self._matrices[sigma]
+        num, d = a.pair
         out = [0] * len(rows)
-        for c, row in zip(a.num, rows):
+        for c, row in zip(num, rows):
             if c:
                 for k, r in enumerate(row):
                     out[k] += c * r
-        return _reduced(self.field, tuple(out), a.den * den)
+        return NumberFieldElement(self.field, _lowest(tuple(out), d * den))
 
     def compose(self, i: int, j: int) -> int:
         """Index of sigma_i o sigma_j (apply sigma_j first)."""
@@ -801,8 +793,10 @@ class GaloisGroup:
 
     def trace(self, a: NumberFieldElement) -> NumberFieldElement:
         rows, den = self._traces
-        num = sum(c * row[0] for c, row in zip(a.num, rows))
-        return _reduced(self.field, (num,) + (0,) * (len(rows) - 1), a.den * den)
+        num, d = a.pair
+        t = sum(c * row[0] for c, row in zip(num, rows))
+        pair = _lowest((t,) + (0,) * (len(rows) - 1), d * den)
+        return NumberFieldElement(self.field, pair)
 
     def is_fixed(self, a: NumberFieldElement) -> bool:
         return all(self.apply(i, a) == a for i in range(self.order))
@@ -810,8 +804,9 @@ class GaloisGroup:
 
 def _over_common_den(elements):
     """(rows, den): each element's numerators scaled to one common den."""
-    den = lcm(*(e.den for e in elements))
-    return tuple(tuple(v * (den // e.den) for v in e.num) for e in elements), den
+    pairs = [e.pair for e in elements]
+    den = lcm(*(d for _, d in pairs))
+    return tuple(tuple(v * (den // d) for v in num) for num, d in pairs), den
 
 
 def _evaluate_minpoly(field: NumberField, x: NumberFieldElement):

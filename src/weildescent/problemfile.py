@@ -81,7 +81,8 @@ def parse_sections(text: str):
 
 
 def _single(entries, key):
-    vals = [v for k, v, _ in entries if k == key]
+    """(value, line number) of the one entry for key."""
+    vals = [(v, lineno) for k, v, lineno in entries if k == key]
     if not vals:
         raise InputError(f"missing required key {key!r}")
     if len(vals) > 1:
@@ -89,17 +90,26 @@ def _single(entries, key):
     return vals[0]
 
 
-def _parse_minpoly(text: str):
+def _parse(text, ring, lineno):
+    """parse_poly(text, ring); an InputError names the line of text."""
+    try:
+        return parse_poly(text, ring)
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}") from exc
+
+
+def _parse_minpoly(text: str, lineno):
     """Rational coefficient list (ascending) of a monic-or-not univariate polynomial."""
     names = sorted(set(_NAME_RE.findall(text)))
     if len(names) != 1:
         raise InputError(
-            f"minimal polynomial must use exactly one variable, found {names or 'none'}"
+            f"line {lineno}: minimal polynomial must use exactly one variable, "
+            f"found {names or 'none'}"
         )
     # Parse over Q (a degree-1 trivial extension) just to reuse the grammar.
     q = NumberField([0, 1], gen_name="_q")
     ring = PolyRing(q, (names[0],))
-    p = parse_poly(text, ring)
+    p = _parse(text, ring, lineno)
     degree = p.total_degree()
     coeffs = [Fraction(0)] * (degree + 1)
     for mono, c in p.terms.items():
@@ -119,18 +129,6 @@ class ProblemFile:
     @property
     def variety(self) -> AffineVariety:
         return self.datum.variety
-
-
-def _scalar_ring(field):
-    return PolyRing(field, ())
-
-
-def _parse_scalar(text, field, where):
-    try:
-        p = parse_poly(text, _scalar_ring(field))
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-    return p.constant_value()
 
 
 def _split_values(value):
@@ -166,9 +164,9 @@ def _parse_components(entries, ring, where):
     comps = []
     for key, value, lineno in entries:
         if key == "component":
-            comps.append([parse_poly(value, ring)])
+            comps.append([_parse(value, ring, lineno)])
         elif comps and len(comps[-1]) == 1:
-            comps[-1].append(parse_poly(value, ring))
+            comps[-1].append(_parse(value, ring, lineno))
         else:
             raise InputError(
                 f"line {lineno}: denominator without its own component in {where}"
@@ -179,7 +177,7 @@ def _parse_components(entries, ring, where):
 def _variable_names(entries, gen_name, where):
     """The names declared by `where`'s variables line: at least one, each a
     valid name other than the field generator's."""
-    names = _split_values(_single(entries, "variables"))
+    names = _split_values(_single(entries, "variables")[0])
     if not names:
         raise InputError(f"{where} must declare its variables")
     for v in names:
@@ -245,10 +243,10 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
     budget = _as_budget(budget if budget is not None else options.get("budget"))
 
     with _run(budget):
-        gen_name = _single(by_name["field"], "generator")
+        gen_name = _single(by_name["field"], "generator")[0]
         if not _NAME_RE.fullmatch(gen_name):
             raise InputError(f"invalid generator name {gen_name!r}")
-        minpoly = _parse_minpoly(_single(by_name["field"], "minpoly"))
+        minpoly = _parse_minpoly(*_single(by_name["field"], "minpoly"))
         field = NumberField(minpoly, gen_name=gen_name)
 
         labels = []
@@ -257,14 +255,14 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
             if key in labels:
                 raise InputError(f"line {lineno}: duplicate automorphism label {key!r}")
             labels.append(key)
-            images.append(_parse_scalar(value, field, f"line {lineno}"))
+            images.append(_parse(value, PolyRing(field, ()), lineno).constant_value())
         group = GaloisGroup(field, images)
 
         var_names = _variable_names(by_name["variety"], gen_name, "[variety]")
         ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
         equations = [
-            parse_poly(value, ring)
-            for key, value, _ in by_name["variety"]
+            _parse(value, ring, lineno)
+            for key, value, lineno in by_name["variety"]
             if key == "equation"
         ]
         variety = AffineVariety(ring, equations)
@@ -327,8 +325,8 @@ def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
     y_vars = _variable_names(by_name["Y"], field.gen_name, "[Y]")
     y_ring = PolyRing(field, tuple(y_vars))
     y_gens = [
-        parse_poly(value, y_ring)
-        for key, value, _ in by_name["Y"]
+        _parse(value, y_ring, lineno)
+        for key, value, lineno in by_name["Y"]
         if key == "equation"
     ]
     x_ring = problem.variety.ring

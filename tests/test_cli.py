@@ -103,15 +103,17 @@ def test_usage_error_leaves_the_parser_usable(capsys):
 _CONIC = read_fixture("conic.txt").split("\n")
 # The lines of the [variety] and [datum.conj] sections, headers included.
 _FUZZED_LINES = [k for k in range(_CONIC.index("[variety]"), len(_CONIC)) if _CONIC[k]]
+_CLAIMED = read_fixture("conic_unpruned_result.txt").split("\n")
+# The lines of the [Y], [map] and [inverse] sections, headers included.
+_FUZZED_CLAIMED_LINES = [
+    k for k in range(_CLAIMED.index("[certificates]")) if _CLAIMED[k]]
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_one_character_edit_ends_in_an_exit_code(tmp_path_factory, data):
-    # One insert, delete or replace of a character in the conic's variety or
-    # datum: verify-datum exits 0-3, or argparse stops it with status 2.
-    k = data.draw(st.sampled_from(_FUZZED_LINES))
-    line = _CONIC[k]
+def _one_character_edit(data, lines, fuzzed, path):
+    """Write lines to path with one insert, delete or replace of a character
+    in one of the lines whose indices are fuzzed."""
+    k = data.draw(st.sampled_from(fuzzed))
+    line = lines[k]
     pos = data.draw(st.integers(0, len(line) - 1))
     new = data.draw(st.sampled_from(list("0123456789xi()+-*^,=")))
     edited = data.draw(st.sampled_from([
@@ -119,15 +121,83 @@ def test_one_character_edit_ends_in_an_exit_code(tmp_path_factory, data):
         line[:pos] + line[pos + 1:],
         line[:pos] + new + line[pos + 1:],
     ]))
-    path = tmp_path_factory.getbasetemp() / "edited_conic.txt"
-    path.write_text("\n".join(_CONIC[:k] + [edited] + _CONIC[k + 1:]))
+    path.write_text("\n".join(lines[:k] + [edited] + lines[k + 1:]))
+    return str(path)
+
+
+def _exit_code(argv):
+    """main(argv) run quietly: its exit code, or 2 when argparse stops it."""
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            code = main(["verify-datum", str(path), "--budget", "5000"])
+            return main(argv)
         except SystemExit as exc:
-            code = exc.code
-            assert code == 2
+            assert exc.code == 2
+            return exc.code
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_one_character_edit_ends_in_an_exit_code(tmp_path_factory, data):
+    # One edit in the conic's variety or datum: verify-datum exits 0-3, or
+    # argparse stops it with status 2.
+    path = _one_character_edit(data, _CONIC, _FUZZED_LINES,
+                               tmp_path_factory.getbasetemp() / "edited_conic.txt")
+    assert _exit_code(["verify-datum", path, "--budget", "5000"]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_one_character_edit_of_a_claimed_model_ends_in_an_exit_code(
+        tmp_path_factory, data):
+    # One edit in the [Y], [map] or [inverse] lines of the conic's result.
+    claimed = _one_character_edit(
+        data, _CLAIMED, _FUZZED_CLAIMED_LINES,
+        tmp_path_factory.getbasetemp() / "edited_claimed.txt")
+    code = _exit_code(["check-model", fixture_path("conic.txt"),
+                       "--claimed", claimed, "--budget", "5000"])
     assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_one_character_edit_ends_in_an_exit_code_under_descend(tmp_path_factory, data):
+    # The same edits, run through the whole pipeline with pruning.
+    path = _one_character_edit(data, _CONIC, _FUZZED_LINES,
+                               tmp_path_factory.getbasetemp() / "edited_conic.txt")
+    assert _exit_code(["descend", path, "--prune", "--budget", "5000"]) in (0, 1, 2, 3)
+
+
+def _replace_line(lines, k, text, path):
+    assert lines[k] != text
+    path.write_text("\n".join(lines[:k] + [text] + lines[k + 1:]))
+    return str(path)
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (3, "minpoly = t^2 + s"),
+    (3, "minpoly = t^2 + 1)"),
+    (12, "equation = x1^2 + y^2 - i"),
+    (15, "component = i*y2"),
+    (16, "denominator = x1 +"),
+])
+def test_bad_problem_expression_names_its_line(lineno, text, tmp_path, capsys):
+    path = _replace_line(_CONIC, lineno - 1, text, tmp_path / "bad.txt")
+    code, _, err = run(capsys, "verify-datum", path)
+    assert code == 2
+    assert err.startswith(f"input error: line {lineno}: ")
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (3, "equation = t4 + y"),
+    (10, "component = i*x1 + x3"),
+    (17, "component = -1/2*i*t1 + 1/2*"),
+])
+def test_bad_claimed_expression_names_its_line(lineno, text, tmp_path, capsys):
+    claimed = _replace_line(_CLAIMED, lineno - 1, text, tmp_path / "bad.txt")
+    code, _, err = run(capsys, "check-model", fixture_path("conic.txt"),
+                       "--claimed", claimed)
+    assert code == 2
+    assert err.startswith(f"input error: line {lineno}: ")
 
 
 def test_runtime_does_not_import_sympy():

@@ -530,8 +530,9 @@ class TestKernels:
         assert basis and rem
         for c in coeffs:
             assert type(c) is wd.NumberFieldElement and c.field is field
-            assert type(c.num) is tuple and all(type(v) is int for v in c.num)
-            assert c.den > 0 and gcd(c.den, *c.num) == 1
+            num, den = c.pair
+            assert type(num) is tuple and all(type(v) is int for v in num)
+            assert den > 0 and gcd(den, *num) == 1
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
