@@ -81,7 +81,13 @@ class AffineVariety:
 
 
 class DescentDatum:
-    """A family of maps f_sigma: X -> X^sigma indexed by the Galois group."""
+    """A family of maps f_sigma: X -> X^sigma indexed by the Galois group.
+
+    The identity's map is the identity: it is filled in when missing, and any
+    other map given for it is an InputError.  With f_e = id, every check made
+    sigma by sigma holds for e term for term, so the checks visit only
+    group.nontrivial.
+    """
 
     __slots__ = ("variety", "group", "maps")
 
@@ -94,8 +100,10 @@ class DescentDatum:
             lst = list(maps)
             if len(lst) != group.order:
                 raise InputError("need one map per group element")
-        if lst[group.identity_index] is None:
-            lst[group.identity_index] = identity_map(variety.ring)
+        ident = identity_map(variety.ring)
+        e = group.identity_index
+        if lst[e] is None:
+            lst[e] = ident
         if any(f is None for f in lst):
             raise InputError("descent datum misses a group element")
         for f in lst:
@@ -103,6 +111,10 @@ class DescentDatum:
                 raise InputError("datum maps must be defined on the variety's ring")
             if f.target_arity != variety.ring.nvars:
                 raise InputError("datum maps must land in the same affine space")
+        for v, given, own in zip(variety.ring.variables, lst[e].components,
+                                 ident.components):
+            if given != own:
+                raise InputError(f"the identity's datum map must send {v} to itself")
         self.variety = variety
         self.group = group
         self.maps = tuple(lst)
@@ -188,7 +200,7 @@ def _relation(R: RationalMap, d: DescentDatum, s):
 
 def _sigma_fixed(L: RationalMap, group, ideal: Ideal):
     """L^sigma = L on V(ideal) for every sigma: (True, None), or (False, witness)."""
-    for s in group:
+    for s in group.nontrivial:
         equal, witness = maps_equal_mod_ideal(L.sigma(group, s), L, ideal)
         if not equal:
             return False, witness
@@ -220,14 +232,18 @@ def _reduce_map(F: RationalMap, gb) -> RationalMap:
 
 
 def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
-    """Check f_sigma maps X into X^sigma and the cocycle identity for all pairs."""
+    """Check f_sigma maps X into X^sigma and the cocycle identity for all pairs.
+
+    f_e is the identity (see DescentDatum), so both checks visit only the
+    non-identity elements.
+    """
     with _run(budget):
         report = DatumReport()
         group = d.group
         X = d.variety
         gb = _equality_basis(X.ideal, d.maps)
 
-        for s in group:
+        for s in group.nontrivial:
             f = d.maps[s]
             for den in f.denominators():
                 _reduced_denominator(
@@ -241,8 +257,8 @@ def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
                 if not ok and strict:
                     raise NotIntoConjugate(s, gi, rem)
 
-        for s1 in group:
-            for s2 in group:
+        for s1 in group.nontrivial:
+            for s2 in group.nontrivial:
                 lhs = d.maps[group.compose(s1, s2)]
                 rhs = compose_map(d.maps[s2].sigma(group, s1), d.maps[s1])
                 mismatch = _first_mismatch(lhs, rhs, X.ideal)
@@ -271,9 +287,11 @@ def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
     """Augment the model so conjugate varieties are pairwise disjoint.
 
     Exactly when some pair of conjugates already meets, adds one coordinate,
-    last in the ring and pinned to alpha by the equation x - alpha; its datum
-    component for sigma is sigma(alpha).  The group's images of alpha are
-    pairwise distinct, so the conjugates of the augmented model are too.
+    last in the ring and pinned to alpha by the equation x - alpha.  Its datum
+    component is sigma(alpha) for each sigma other than the identity, whose
+    map stays the identity: x itself, equal to alpha on the new model.  The
+    group's images of alpha are pairwise distinct, so the conjugates of the
+    augmented model are too.
     Returns the input unchanged otherwise.
     """
     with _run(budget):
@@ -290,12 +308,12 @@ def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
         gens.append(big.var(pinned) - big.constant(alpha))
         Xhat = AffineVariety(big, gens)
 
-        new_maps = []
-        for s in group:
+        new_maps = {}
+        for s in group.nontrivial:
             comps = [(num.transplant(big), den.transplant(big))
                      for num, den in d.maps[s].components]
             comps.append((big.constant(group.apply(s, alpha)), big.one))
-            new_maps.append(RationalMap(big, comps, normalize=False))
+            new_maps[s] = RationalMap(big, comps, normalize=False)
         return DescentDatum(Xhat, group, new_maps)
 
 
@@ -330,14 +348,11 @@ def build_phi(d: DescentDatum, budget=None):
         # Identity block variables carry the X names, so transplanting by name
         # lands polynomials on the e-block.
         gens = []
-        e = group.identity_index
         for s in group:
             var_map = {i: action.variable_index(s, i) for i in range(n)}
             for P in X.generators:
                 gens.append(P.sigma(group, s).transplant(big, var_map))
-        for s in group:
-            if s == e:
-                continue
+        for s in group.nontrivial:
             f = d.maps[s]
             for j, (num, den) in enumerate(f.components):
                 y = big.var(action.variable_index(s, j))
@@ -378,7 +393,8 @@ def _sigma_stable(ideal: Ideal, group) -> bool:
     """
     gb = ideal.groebner_basis(order=MonomialOrder("grevlex"))
     return all(
-        g.sigma(group, s).terms == g.terms for s in group for g in gb.elements
+        g.sigma(group, s).terms == g.terms
+        for s in group.nontrivial for g in gb.elements
     )
 
 
@@ -405,7 +421,8 @@ def _x_stable_and_trivial(d: DescentDatum) -> bool:
     X = d.variety
     ident = identity_map(X.ring)
     return _sigma_stable(X.ideal, d.group) and all(
-        maps_equal_mod_ideal(d.maps[s], ident, X.ideal)[0] for s in d.group
+        maps_equal_mod_ideal(d.maps[s], ident, X.ideal)[0]
+        for s in d.group.nontrivial
     )
 
 
@@ -482,7 +499,8 @@ def descend(
             y_ideal, R, pruned = _prune_coordinates(y_ideal, R)
         y_ideal = _certify_y(y_ideal, group, certificates)
 
-        for s in group:
+        relation, witness = True, None
+        for s in group.nontrivial:
             relation, witness = _relation(R, d, s)
             if not relation:
                 break
@@ -669,9 +687,7 @@ def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
             report.add(f"image containment generator_{gi}", ok,
                        None if ok else str(rem))
 
-        for s in group:
-            if s == group.identity_index:
-                continue
+        for s in group.nontrivial:
             try:
                 equal, witness = _relation(R, datum, s)
             except ZeroDenominator as exc:
@@ -713,7 +729,7 @@ def descend_morphism(
         for rem in _composed_normal_forms(Z.generators, phi, gb):
             if not rem.is_zero():
                 raise InputError("phi does not map X into Z")
-        for s in group:
+        for s in group.nontrivial:
             equal, witness = _relation(phi, d, s)
             if not equal:
                 raise MorphismIncompatible(s, witness)
@@ -761,7 +777,7 @@ def transport_automorphisms(result: DescentResult, G, budget=None):
                     return True
             return False
 
-        for s in group:
+        for s in group.nontrivial:
             for g in G:
                 lhs = compose_map(g.sigma(group, s), d.maps[s])
                 candidates = [compose_map(d.maps[s], gp) for gp in G]
@@ -776,7 +792,7 @@ def transport_automorphisms(result: DescentResult, G, budget=None):
             if not setwise_member(h, H, result.y_ideal):
                 H.append(h)
 
-        for s in group:
+        for s in group.nontrivial:
             for h in H:
                 if not setwise_member(h.sigma(group, s), H, result.y_ideal):
                     raise ConjugationNotClosed(s)
@@ -800,7 +816,7 @@ def compare_models(model1, model2, d: DescentDatum, budget=None) -> RationalMap:
 
     with _run(budget):
         for label, R in (("first", R1), ("second", R2)):
-            for s in d.group:
+            for s in d.group.nontrivial:
                 equal, witness = _relation(R, d, s)
                 if not equal:
                     raise VerificationError(

@@ -78,7 +78,7 @@ class BlockPermutationAction:
         )
 
     def is_invariant(self, P: MultiPoly) -> bool:
-        return all(self.act(tau, P) == P for tau in self.group)
+        return all(self.act(tau, P) == P for tau in self.group.nontrivial)
 
 
 def _monomials_of_degree(nvars, degree):

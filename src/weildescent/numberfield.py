@@ -710,7 +710,7 @@ class NumberFieldElement:
 class GaloisGroup:
     """Gal(L/Q) as the list of alpha-images, with composition table."""
 
-    __slots__ = ("field", "images", "identity_index", "table", "_matrices", "_traces")
+    __slots__ = ("field", "images", "identity_index", "nontrivial", "table", "_matrices")
 
     def __init__(self, field: NumberField, images):
         imgs = []
@@ -727,23 +727,18 @@ class GaloisGroup:
         if len(set(imgs)) != m:
             raise InputError("automorphism images are not pairwise distinct")
         for im in imgs:
-            if not _evaluate_minpoly(field, im).is_zero():
-                raise InputError(f"{im} is not a root of the minimal polynomial")
+            _check_root(field, im)
         self.field = field
         self.images = tuple(imgs)
         # For each sigma, the powers image^k as rows of ints over one
-        # denominator, so that applying sigma is an integer dot product; and
-        # Tr(alpha^k), the sum of those powers over the group, likewise.
-        powers = []
+        # denominator, so that applying sigma is an integer dot product.
+        matrices = []
         for im in imgs:
             pw = [field.one]
             for _ in range(m - 1):
                 pw.append(pw[-1] * im)
-            powers.append(pw)
-        self._matrices = tuple(_over_common_den(pw) for pw in powers)
-        self._traces = _over_common_den(
-            [sum(col, field.zero) for col in zip(*powers)]
-        )
+            matrices.append(_over_common_den(pw))
+        self._matrices = tuple(matrices)
         gen = field.gen
         try:
             self.identity_index = next(
@@ -751,6 +746,9 @@ class GaloisGroup:
             )
         except StopIteration:
             raise InputError("identity automorphism (alpha -> alpha) is missing")
+        # The non-identity indices, in index order: a check made sigma by
+        # sigma visits these, since the identity's holds term for term.
+        self.nontrivial = tuple(i for i in range(m) if i != self.identity_index)
         # Composition closure: sigma_i o sigma_j must be another listed map.
         by_image = {im: k for k, im in enumerate(imgs)}
         table = []
@@ -792,14 +790,10 @@ class GaloisGroup:
         return next(j for j in range(self.order) if self.table[i][j] == self.identity_index)
 
     def trace(self, a: NumberFieldElement) -> NumberFieldElement:
-        rows, den = self._traces
-        num, d = a.pair
-        t = sum(c * row[0] for c, row in zip(num, rows))
-        pair = _lowest((t,) + (0,) * (len(rows) - 1), d * den)
-        return NumberFieldElement(self.field, pair)
+        return sum((self.apply(i, a) for i in self), self.field.zero)
 
     def is_fixed(self, a: NumberFieldElement) -> bool:
-        return all(self.apply(i, a) == a for i in range(self.order))
+        return all(self.apply(i, a) == a for i in self.nontrivial)
 
 
 def _over_common_den(elements):
@@ -809,11 +803,13 @@ def _over_common_den(elements):
     return tuple(tuple(v * (den // d) for v in num) for num, d in pairs), den
 
 
-def _evaluate_minpoly(field: NumberField, x: NumberFieldElement):
+def _check_root(field: NumberField, x: NumberFieldElement):
+    """Raise InputError unless x is a root of the field's minimal polynomial."""
     out = field.zero
     for c in reversed(field.minpoly):
         out = out * x + field.rational(c)
-    return out
+    if not out.is_zero():
+        raise InputError(f"{x} is not a root of the minimal polynomial")
 
 
 class BasisMatrix:

@@ -39,7 +39,7 @@ from ._pykernel import _as_budget, _run
 from .descent import AffineVariety, DescentDatum, DescentResult
 from .errors import InputError
 from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap
-from .numberfield import GaloisGroup, NumberField
+from .numberfield import GaloisGroup, NumberField, _check_root
 from .parsing import parse_poly
 
 __all__ = [
@@ -90,12 +90,17 @@ def _single(entries, key):
     return vals[0]
 
 
-def _parse(text, ring, lineno):
-    """parse_poly(text, ring); an InputError names the line of text."""
+def _at_line(lineno, fn, *args):
+    """fn(*args); an InputError it raises names the line."""
     try:
-        return parse_poly(text, ring)
+        return fn(*args)
     except InputError as exc:
         raise InputError(f"line {lineno}: {exc}") from exc
+
+
+def _parse(text, ring, lineno):
+    """parse_poly(text, ring); an InputError names the line of text."""
+    return _at_line(lineno, parse_poly, text, ring)
 
 
 def _parse_minpoly(text: str, lineno):
@@ -159,8 +164,10 @@ def _parse_options(entries):
     return opts
 
 
-def _parse_components(entries, ring, where):
-    """component/denominator entry pairs -> list of (num, den)."""
+def _parse_components(entries, ring, where, expected):
+    """component/denominator entry pairs -> list of (num, den), exactly
+    `expected` of them.  A wrong count names the line of the first surplus
+    component, or the section's last line when components are missing."""
     comps = []
     for key, value, lineno in entries:
         if key == "component":
@@ -171,18 +178,28 @@ def _parse_components(entries, ring, where):
             raise InputError(
                 f"line {lineno}: denominator without its own component in {where}"
             )
+    if len(comps) != expected:
+        msg = f"{where} has {len(comps)} components, expected {expected}"
+        if not entries:
+            raise InputError(msg)
+        starts = [lineno for key, _, lineno in entries if key == "component"]
+        lineno = starts[expected] if len(comps) > expected else entries[-1][2]
+        raise InputError(f"line {lineno}: {msg}")
     return [(c[0], c[1] if len(c) == 2 else ring.one) for c in comps]
 
 
 def _variable_names(entries, gen_name, where):
     """The names declared by `where`'s variables line: at least one, each a
-    valid name other than the field generator's."""
-    names = _split_values(_single(entries, "variables")[0])
+    valid name other than the field generator's, and no name twice."""
+    value, lineno = _single(entries, "variables")
+    names = _split_values(value)
     if not names:
-        raise InputError(f"{where} must declare its variables")
-    for v in names:
+        raise InputError(f"line {lineno}: {where} must declare its variables")
+    for k, v in enumerate(names):
         if not _NAME_RE.fullmatch(v) or v == gen_name:
-            raise InputError(f"invalid variable name {v!r} in {where}")
+            raise InputError(f"line {lineno}: invalid variable name {v!r} in {where}")
+        if v in names[:k]:
+            raise InputError(f"line {lineno}: duplicate variable name {v!r} in {where}")
     return names
 
 
@@ -256,7 +273,14 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
                 raise InputError(f"line {lineno}: duplicate automorphism label {key!r}")
             labels.append(key)
             images.append(_parse(value, PolyRing(field, ()), lineno).constant_value())
-        group = GaloisGroup(field, images)
+        try:
+            group = GaloisGroup(field, images)
+        except InputError:
+            # An image that is not a root is named by its line; the other
+            # errors concern the images together.
+            for image, (_, _, lineno) in zip(images, by_name["galois"]):
+                _at_line(lineno, _check_root, field, image)
+            raise
 
         var_names = _variable_names(by_name["variety"], gen_name, "[variety]")
         ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
@@ -267,7 +291,7 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
         ]
         variety = AffineVariety(ring, equations)
 
-        maps = {}
+        maps, identity_line = {}, None
         label_index = {lab: i for i, lab in enumerate(labels)}
         for name, entries in sections:
             if not name.startswith("datum."):
@@ -278,17 +302,20 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
             idx = label_index[label]
             if idx in maps:
                 raise InputError(f"duplicate datum section for {label!r}")
-            comps = _parse_components(entries, ring, f"[{name}]")
-            if len(comps) != ring.nvars:
-                raise InputError(
-                    f"[{name}] has {len(comps)} components, expected {ring.nvars}"
-                )
+            comps = _parse_components(entries, ring, f"[{name}]", ring.nvars)
             maps[idx] = RationalMap(ring, comps)
-        for i in group:
-            if i != group.identity_index and i not in maps:
+            if idx == group.identity_index:
+                identity_line = entries[0][2]
+        for i in group.nontrivial:
+            if i not in maps:
                 raise InputError(f"missing datum section for automorphism {labels[i]!r}")
 
-        datum = DescentDatum(variety, group, maps)
+        if identity_line is None:
+            datum = DescentDatum(variety, group, maps)
+        else:
+            # DescentDatum rejects an identity section that is not the
+            # identity; the error names the section's first line.
+            datum = _at_line(identity_line, DescentDatum, variety, group, maps)
     return ProblemFile(field=field, group=group, labels=tuple(labels),
                        datum=datum, budget=budget, options=options)
 
@@ -330,20 +357,13 @@ def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
         if key == "equation"
     ]
     x_ring = problem.variety.ring
-    comps = _parse_components(by_name["map"], x_ring, "[map]")
-    if len(comps) != len(y_vars):
-        raise InputError(
-            f"[map] has {len(comps)} components but [Y] declares {len(y_vars)} variables"
-        )
+    comps = _parse_components(by_name["map"], x_ring, "[map]", len(y_vars))
     inverse = None
     with _run(problem.budget):
         claimed_map = RationalMap(x_ring, comps)
         if "inverse" in by_name and by_name["inverse"]:
-            inv_comps = _parse_components(by_name["inverse"], y_ring, "[inverse]")
-            if len(inv_comps) != x_ring.nvars:
-                raise InputError(
-                    f"[inverse] has {len(inv_comps)} components, expected {x_ring.nvars}"
-                )
+            inv_comps = _parse_components(by_name["inverse"], y_ring, "[inverse]",
+                                          x_ring.nvars)
             inverse = RationalMap(y_ring, inv_comps)
     return ClaimedModel(y_ring=y_ring, y_generators=tuple(y_gens),
                         map=claimed_map, inverse=inverse)

@@ -173,18 +173,72 @@ def _replace_line(lines, k, text, path):
     return str(path)
 
 
+# The last four fail checks made after the entry parses: a bad or repeated
+# variable name, an image that is not a root, a third component.
 @pytest.mark.parametrize("lineno, text", [
     (3, "minpoly = t^2 + s"),
     (3, "minpoly = t^2 + 1)"),
     (12, "equation = x1^2 + y^2 - i"),
     (15, "component = i*y2"),
     (16, "denominator = x1 +"),
+    (11, "variables = x1, 2x"),
+    (11, "variables = x1, x1"),
+    (8, "conj = i + 1"),
+    (17, "component = x1"),
 ])
 def test_bad_problem_expression_names_its_line(lineno, text, tmp_path, capsys):
     path = _replace_line(_CONIC, lineno - 1, text, tmp_path / "bad.txt")
     code, _, err = run(capsys, "verify-datum", path)
     assert code == 2
     assert err.startswith(f"input error: line {lineno}: ")
+
+
+# The conic x1^2 + x2^2 = 1 with a [datum.e] section: the variables
+# themselves, or the constant map to its point (1, 0), which conj uses too.
+# Constant maps send X into every conjugate and compose to themselves, so
+# only the rule that f_e is the identity rejects the second.
+_IDENTITY_SECTION = """\
+[field]
+minpoly = t^2 + 1
+generator = i
+
+[galois]
+e = i
+conj = -i
+
+[variety]
+variables = x1, x2
+equation = x1^2 + x2^2 - 1
+
+[datum.e]
+component = {}
+component = {}
+
+[datum.conj]
+component = {}
+component = {}
+"""
+
+
+def test_identity_section_listing_the_variables_loads(tmp_path, capsys):
+    path = tmp_path / "identity.txt"
+    path.write_text(_IDENTITY_SECTION.format("x1", "x2", "x1", "x2"))
+    code, out, _ = run(capsys, "verify-datum", str(path))
+    assert code == 0
+    assert "result = pass" in out
+
+
+@pytest.mark.parametrize("command", ["verify-datum", "descend", "check-model"])
+def test_constant_identity_section_exit_two(command, tmp_path, capsys):
+    path = tmp_path / "constant.txt"
+    path.write_text(_IDENTITY_SECTION.format("1", "0", "1", "0"))
+    claimed = ["--claimed", fixture_path("conic_unpruned_result.txt")]
+    code, out, err = run(capsys, command, str(path),
+                         *(claimed if command == "check-model" else []))
+    assert code == 2
+    assert out == ""
+    assert err == ("input error: line 14: "
+                   "the identity's datum map must send x1 to itself\n")
 
 
 @pytest.mark.parametrize("lineno, text", [
@@ -603,6 +657,7 @@ class TestCheckModel:
             str(bad),
         )
         assert code == 2
+        assert "line 12: [map] has 3 components, expected 4" in err
 
     @pytest.mark.parametrize("section", ["Y", "map", "inverse"])
     def test_duplicate_section_exit_two(self, section, tmp_path, capsys):

@@ -156,6 +156,7 @@ class TestGaloisGroup:
     def test_identity_index(self, qi_group, cubic_group):
         assert qi_group.identity_index == 0
         assert cubic_group.identity_index == 0
+        assert cubic_group.nontrivial == (1, 2)
 
     def test_composition_table_cyclic(self, cubic_group):
         # [DERIVED] the cubic group is cyclic of order 3
@@ -219,6 +220,7 @@ class TestTraceReconstruction:
         # give (1/2, i/2), which rebuilds -i from P = i.
         group = wd.GaloisGroup(qi, [-qi.gen, qi.gen])
         assert group.identity_index == 1
+        assert group.nontrivial == (0,)
         basis = wd.power_basis(qi)
         lam = wd.solve_trace_coefficients(wd.basis_matrix(group, basis))
         assert lam == (qi.rational(Fraction(1, 2)), qi.element([0, Fraction(-1, 2)]))
