@@ -53,7 +53,10 @@ def _poly_is_irreducible(coeffs):
 
     1. g(t) = d^m f(t/d), with d the lcm of the denominators, is a monic
        integer polynomial that factors exactly as f does.
-    2. If gcd(g, g') over Q is not constant, g is reducible.
+    2. If g mod 3 is squarefree, so is g over Q (ch. 14): a square h^2
+       dividing the monic g can be taken monic in Z[t] (Gauss), and h mod 3
+       keeps its degree, so h^2 would divide g mod 3.  Otherwise g is
+       reducible when gcd(g, g') over Q is not constant.
     3. For up to five odd primes p with g mod p squarefree, a distinct-degree
        factorisation gives the degrees of the irreducible factors mod p.  A
        factor of g over Q has a degree that is a subset sum of them at every
@@ -71,10 +74,14 @@ def _poly_is_irreducible(coeffs):
         return True
     d = lcm(*(c.denominator for c in coeffs))
     g = [int(c * d ** (m - k)) for k, c in enumerate(coeffs)]
-    if not _rational_coprime(g, [k * c for k, c in enumerate(g)][1:]):
-        return False
-    squarefree = (p for p in _odd_primes()
-                  if len(_gcd(g, _derivative(g, p), p)) == 1)
+
+    def squarefree_mod(p):
+        return len(_gcd(g, _derivative(g, p), p)) == 1
+
+    if not squarefree_mod(3) and not _rational_coprime(
+            g, [k * c for k, c in enumerate(g)][1:]):
+        return False  # a square factor: g is squarefree mod no prime
+    squarefree = (p for p in _odd_primes() if squarefree_mod(p))
     allowed, best = None, None
     for p in islice(squarefree, 5):
         parts = _distinct_degree([c % p for c in g], p)

@@ -59,7 +59,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_sections(text: str):
-    """[(section name, [(key, value, line number), ...]), ...] in file order."""
+    """[(section name, header line number, [(key, value, line number), ...]),
+    ...] in file order."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -68,7 +69,7 @@ def parse_sections(text: str):
             continue
         m = _SECTION_RE.match(line)
         if m:
-            current = (m.group(1), [])
+            current = (m.group(1), lineno, [])
             sections.append(current)
             continue
         m = _KEY_RE.match(line)
@@ -76,7 +77,7 @@ def parse_sections(text: str):
             raise InputError(f"line {lineno}: expected 'key = value' or '[section]'")
         if current is None:
             raise InputError(f"line {lineno}: entry before any [section] header")
-        current[1].append((m.group(1), m.group(2).strip(), lineno))
+        current[2].append((m.group(1), m.group(2).strip(), lineno))
     return sections
 
 
@@ -164,10 +165,11 @@ def _parse_options(entries):
     return opts
 
 
-def _parse_components(entries, ring, where, expected):
+def _parse_components(entries, header, ring, where, expected):
     """component/denominator entry pairs -> list of (num, den), exactly
     `expected` of them.  A wrong count names the line of the first surplus
-    component, or the section's last line when components are missing."""
+    component, or the section's last line when components are missing: the
+    header line of an empty section."""
     comps = []
     for key, value, lineno in entries:
         if key == "component":
@@ -180,10 +182,11 @@ def _parse_components(entries, ring, where, expected):
             )
     if len(comps) != expected:
         msg = f"{where} has {len(comps)} components, expected {expected}"
-        if not entries:
-            raise InputError(msg)
         starts = [lineno for key, _, lineno in entries if key == "component"]
-        lineno = starts[expected] if len(comps) > expected else entries[-1][2]
+        if len(comps) > expected:
+            lineno = starts[expected]
+        else:
+            lineno = entries[-1][2] if entries else header
         raise InputError(f"line {lineno}: {msg}")
     return [(c[0], c[1] if len(c) == 2 else ring.one) for c in comps]
 
@@ -222,11 +225,12 @@ _CLAIMED_KEYS = {
 
 
 def _sections_by_name(sections, allowed):
-    """{name: entries}.  A section missing from `allowed`, or a key missing
-    from its section's set, is an error, and so is a repeated section, except
-    [datum.*], whose repeats are reported by label."""
-    by_name = {}
-    for name, entries in sections:
+    """{name: entries} and {name: header line number}.  A section missing
+    from `allowed`, or a key missing from its section's set, is an error, and
+    so is a repeated section, except [datum.*], whose repeats are reported by
+    label."""
+    by_name, headers = {}, {}
+    for name, header, entries in sections:
         datum = name.startswith("datum.")
         kind = "datum.*" if datum else name
         if kind not in allowed:
@@ -238,7 +242,8 @@ def _sections_by_name(sections, allowed):
             if keys is not None and key not in keys:
                 raise InputError(f"line {lineno}: unknown key {key!r} in [{name}]")
         by_name.setdefault(name, entries)
-    return by_name
+        headers.setdefault(name, header)
+    return by_name, headers
 
 
 def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
@@ -251,7 +256,7 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
     the run.
     """
     sections = parse_sections(text)
-    by_name = _sections_by_name(sections, _PROBLEM_KEYS)
+    by_name, headers = _sections_by_name(sections, _PROBLEM_KEYS)
     for name in ("field", "galois", "variety"):
         if name not in by_name:
             raise InputError(f"missing [{name}] section")
@@ -266,21 +271,27 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
         minpoly = _parse_minpoly(*_single(by_name["field"], "minpoly"))
         field = NumberField(minpoly, gen_name=gen_name)
 
+        galois = by_name["galois"]
         labels = []
         images = []
-        for key, value, lineno in by_name["galois"]:
+        for key, value, lineno in galois:
             if key in labels:
                 raise InputError(f"line {lineno}: duplicate automorphism label {key!r}")
             labels.append(key)
             images.append(_parse(value, PolyRing(field, ()), lineno).constant_value())
         try:
             group = GaloisGroup(field, images)
-        except InputError:
-            # An image that is not a root is named by its line; the other
-            # errors concern the images together.
-            for image, (_, _, lineno) in zip(images, by_name["galois"]):
+        except InputError as exc:
+            # An image that is not a root is named by its line, and two equal
+            # images by the later one's; a wrong count, a missing identity or
+            # a set not closed under composition by the section's header.
+            for image, (_, _, lineno) in zip(images, galois):
                 _at_line(lineno, _check_root, field, image)
-            raise
+            lineno = headers["galois"]
+            if len(images) == field.degree:
+                lineno = next((n for k, (_, _, n) in enumerate(galois)
+                               if images[k] in images[:k]), lineno)
+            raise InputError(f"line {lineno}: {exc}") from exc
 
         var_names = _variable_names(by_name["variety"], gen_name, "[variety]")
         ring = PolyRing(field, tuple(var_names), MonomialOrder(order_name))
@@ -293,7 +304,7 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
 
         maps, identity_line = {}, None
         label_index = {lab: i for i, lab in enumerate(labels)}
-        for name, entries in sections:
+        for name, header, entries in sections:
             if not name.startswith("datum."):
                 continue
             label = name[len("datum."):]
@@ -302,7 +313,7 @@ def load_problem_text(text: str, order=None, budget=None) -> ProblemFile:
             idx = label_index[label]
             if idx in maps:
                 raise InputError(f"duplicate datum section for {label!r}")
-            comps = _parse_components(entries, ring, f"[{name}]", ring.nvars)
+            comps = _parse_components(entries, header, ring, f"[{name}]", ring.nvars)
             maps[idx] = RationalMap(ring, comps)
             if idx == group.identity_index:
                 identity_line = entries[0][2]
@@ -344,7 +355,7 @@ class ClaimedModel:
 
 
 def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
-    by_name = _sections_by_name(parse_sections(text), _CLAIMED_KEYS)
+    by_name, headers = _sections_by_name(parse_sections(text), _CLAIMED_KEYS)
     for name in ("Y", "map"):
         if name not in by_name:
             raise InputError(f"claimed document misses the [{name}] section")
@@ -357,13 +368,14 @@ def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
         if key == "equation"
     ]
     x_ring = problem.variety.ring
-    comps = _parse_components(by_name["map"], x_ring, "[map]", len(y_vars))
+    comps = _parse_components(by_name["map"], headers["map"], x_ring, "[map]",
+                              len(y_vars))
     inverse = None
     with _run(problem.budget):
         claimed_map = RationalMap(x_ring, comps)
         if "inverse" in by_name and by_name["inverse"]:
-            inv_comps = _parse_components(by_name["inverse"], y_ring, "[inverse]",
-                                          x_ring.nvars)
+            inv_comps = _parse_components(by_name["inverse"], headers["inverse"],
+                                          y_ring, "[inverse]", x_ring.nvars)
             inverse = RationalMap(y_ring, inv_comps)
     return ClaimedModel(y_ring=y_ring, y_generators=tuple(y_gens),
                         map=claimed_map, inverse=inverse)

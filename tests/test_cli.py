@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
-from weildescent import cli
+from weildescent import cli, problemfile
 from weildescent.cli import main
 from weildescent.kernel import DEFAULT_BUDGET
 from weildescent.problemfile import load_problem
@@ -191,6 +191,56 @@ def test_bad_problem_expression_names_its_line(lineno, text, tmp_path, capsys):
     code, _, err = run(capsys, "verify-datum", path)
     assert code == 2
     assert err.startswith(f"input error: line {lineno}: ")
+
+
+# Checks that span several lines name one: the later of two equal images, or
+# the header of a [galois] section with too few images, of a [datum.conj]
+# section with no entries.
+@pytest.mark.parametrize("lines, lineno, message", [
+    (_CONIC[:7] + ["conj = i"] + _CONIC[8:], 8,
+     "automorphism images are not pairwise distinct"),
+    (_CONIC[:6] + ["e = -i"] + _CONIC[7:], 8,
+     "automorphism images are not pairwise distinct"),
+    (_CONIC[:7] + _CONIC[8:], 6,
+     "a Galois group of Q(α) with [L:Q]=2 needs exactly 2 automorphisms, got 1"),
+    (_CONIC[:14], 14, "[datum.conj] has 0 components, expected 2"),
+], ids=["conj-equals-e", "e-equals-conj", "one-image", "empty-datum"])
+def test_check_across_lines_names_a_line(lines, lineno, message, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines))
+    code, out, err = run(capsys, "verify-datum", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: line {lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("message", [
+    "identity automorphism (alpha -> alpha) is missing",
+    "automorphisms are not closed under composition",
+])
+def test_group_error_names_the_galois_header(message, monkeypatch, capsys):
+    # Distinct roots of a minimal polynomial, as many as its degree, always
+    # include alpha and close under composition, so no file reaches these
+    # checks; a GaloisGroup that fails them stands in.
+    def failing_group(field, images):
+        raise wd.InputError(message)
+
+    monkeypatch.setattr(problemfile, "GaloisGroup", failing_group)
+    code, _, err = run(capsys, "verify-datum", fixture_path("conic.txt"))
+    assert code == 2
+    assert err == f"input error: line 6: {message}\n"
+
+
+def test_empty_claimed_map_names_its_header(tmp_path, capsys):
+    start = _CLAIMED.index("[map]")
+    end = _CLAIMED.index("", start)
+    path = tmp_path / "claimed.txt"
+    path.write_text("\n".join(_CLAIMED[:start + 1] + _CLAIMED[end:]))
+    code, out, err = run(capsys, "check-model", fixture_path("conic.txt"),
+                         "--claimed", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: line {start + 1}: [map] has 0 components, expected 5\n"
 
 
 # The conic x1^2 + x2^2 = 1 with a [datum.e] section: the variables

@@ -69,6 +69,9 @@ class TestIrreducibility:
         pytest.param([9, 0, -10, 0, 1], False, id="(x2-1)(x2-9)"),
         # not squarefree
         pytest.param([1, 0, 2, 0, 1], False, id="(x2+1)^2"),
+        pytest.param([1, 2, 1], False, id="(x+1)^2"),
+        # squarefree, but not modulo 3, which divides the discriminant -12
+        pytest.param([3, 0, 1], True, id="x2+3"),
         # not integral
         pytest.param([Fraction(-1, 4), 0, 1], False, id="t2-1/4"),
     ])
@@ -76,6 +79,26 @@ class TestIrreducibility:
         # [DERIVED] each id names the factorisation, or the generator whose
         # minimal polynomial it is
         assert _poly_is_irreducible([Fraction(c) for c in coeffs]) is irreducible
+
+    @pytest.mark.parametrize("coeffs, squarefree_mod_3", [
+        ([1, 0, 1], True),
+        ([-1, -2, 1, 1], True),
+        ([3, 0, 1], False),
+        ([1, 2, 1], False),
+        ([1, 0, 2, 0, 1], False),
+    ])
+    def test_rational_gcd_only_when_not_squarefree_mod_3(
+            self, coeffs, squarefree_mod_3, monkeypatch):
+        calls = []
+        coprime = numberfield._rational_coprime
+
+        def counted(a, b):
+            calls.append(a)
+            return coprime(a, b)
+
+        monkeypatch.setattr(numberfield, "_rational_coprime", counted)
+        _poly_is_irreducible([Fraction(c) for c in coeffs])
+        assert len(calls) == (0 if squarefree_mod_3 else 1)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.one_of(
