@@ -447,11 +447,14 @@ def descend(
         }
 
         graph, pruned = None, ()
-        if _x_stable_and_trivial(d):
+        stable = _x_stable_and_trivial(d)
+        if stable:
             # X is fixed by every sigma and the datum is trivial: X is already a
             # model over the fixed field, with R the identity.  No Phi is built,
             # so no disjointness is certified.
             R, y_ideal, invariant_count = identity_map(X.ring), X.ideal, X.ring.nvars
+            if prune:
+                y_lex = _reverse_lex(X.ideal)
         else:
             dd = disjointify(d)
 
@@ -487,16 +490,24 @@ def descend(
                 R = _restrict_to_original(d, R)
 
             # Y is the image of R, eliminated from the graph basis; _reduce_map
-            # has already rejected a denominator vanishing on X.  The same graph
-            # basis gives R^-1 below unless pruning changes the target
-            # coordinates.
-            graph = _graph_basis(R, X.ideal, tnames)
-            y_ideal = _second_block(*graph)
+            # has already rejected a denominator vanishing on X.  Unpruned, the
+            # block-order graph basis gives Y in grevlex and R^-1 below.  Lex
+            # eliminates the source variables too, so pruning reads its first
+            # basis, Y's reduced lex basis over the coordinates in reverse, off
+            # the lex graph basis over them.
+            if prune:
+                y_ideal = None
+                reverse = RationalMap(R.ring, R.components[::-1], normalize=False)
+                y_lex = _second_block(*_graph_basis(
+                    reverse, X.ideal, tnames[::-1], MonomialOrder("lex")))
+            else:
+                graph = _graph_basis(R, X.ideal, tnames)
+                y_ideal = _second_block(*graph)
 
         # Pruning reads only reduced bases, which depend on the ideal alone,
         # so Y is certified once, on its final coordinates.
         if prune:
-            y_ideal, R, pruned = _prune_coordinates(y_ideal, R)
+            y_ideal, R, pruned = _prune_coordinates(y_lex, R, y_ideal)
         y_ideal = _certify_y(y_ideal, group, certificates)
 
         relation, witness = True, None
@@ -510,12 +521,12 @@ def descend(
 
         inverse = None
         if want_inverse:
-            if pruned:
-                inverse = recover_inverse(R, X.ideal, y_ideal)
-            elif graph is None:
+            if graph is not None:
+                inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal)
+            elif stable and not pruned:
                 inverse = R
             else:
-                inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal)
+                inverse = recover_inverse(R, X.ideal, y_ideal)
         if inverse is not None:
             checks = _verify_inverse(R, inverse, X.ideal, y_ideal)
             if not all(ok for ok, _ in checks):
@@ -607,9 +618,16 @@ def _inverse_from_graph(gb, split, n, I_Y: Ideal):
 # -- optional coordinate pruning --------------------------------------------------------
 
 
-def _prune_coordinates(y_ideal: Ideal, R: RationalMap):
+def _reverse_lex(ideal: Ideal) -> Ideal:
+    """The ideal in the lex ring over its variables in reverse order."""
+    ring = PolyRing(ideal.ring.field, ideal.ring.variables[::-1], MonomialOrder("lex"))
+    return Ideal(ring, [g.transplant(ring) for g in ideal.generators])
+
+
+def _prune_coordinates(y_lex: Ideal, R: RationalMap, y_ideal=None):
     """Drop target coordinates expressible in the remaining ones.
 
+    y_lex is Y in the lex ring over its coordinates in reverse, t_k first.
     Coordinates are tested from the highest index down; t_j is dropped when
     the ideal left contains t_j - p(the other coordinates left), and the
     last coordinate left is never tested.
@@ -617,25 +635,27 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap):
     The answer depends on the ideal alone, so any lex ring with t_j first
     among the coordinates left gives it (Cox, Little & O'Shea, Ideals,
     Varieties, and Algorithms, Ch. 3 Sec. 1).  Each pass puts the untested
-    candidates first, in test order, and the kept coordinates after them.
-    Lex eliminates every prefix at once: while the prefix before t_j has
-    been dropped, the basis elements whose lead is free of it generate the
-    ideal left, and that ideal contains t_j - p(rest) exactly when one of
-    them has lead t_j.  The first candidate that fails is kept and moves
-    behind the untested ones for the next pass.  Y is then the reduced
-    grevlex basis of the last pass's generators, over the coordinates left.
+    candidates first, in test order, and the kept coordinates after them;
+    the first pass's basis is y_lex's own.  Lex eliminates every prefix at
+    once: while the prefix before t_j has been dropped, the basis elements
+    whose lead is free of it generate the ideal left, and that ideal
+    contains t_j - p(rest) exactly when one of them has lead t_j.  The first
+    candidate that fails is kept and moves behind the untested ones for the
+    next pass.
+
+    Returns (Y, R, dropped).  Y is `y_ideal` when nothing is dropped and it
+    is given, and otherwise the reduced grevlex basis of the last pass's
+    generators over the coordinates left, in their order.
     """
-    field, coords = y_ideal.ring.field, y_ideal.ring.variables
-    untested = list(coords[::-1])
+    field, coords = y_lex.ring.field, y_lex.ring.variables[::-1]
+    untested = list(y_lex.ring.variables)
     kept, dropped = [], []
-    gens = y_ideal.generators
+    moved, gens = y_lex, y_lex.generators
     while True:
         names = untested + kept
         limit = min(len(untested), len(names) - 1)
         if not limit:
             break
-        ring = PolyRing(field, names, MonomialOrder("lex"))
-        moved = Ideal(ring, [g.transplant(ring) for g in gens])
         gb = moved.groebner_basis()
         leads = {lead for lead, _ in gb.divisors}
         j = 0
@@ -647,7 +667,9 @@ def _prune_coordinates(y_ideal: Ideal, R: RationalMap):
             break
         kept.append(untested[j])
         untested = untested[j + 1:]
-    if not dropped:
+        ring = PolyRing(field, untested + kept, MonomialOrder("lex"))
+        moved = Ideal(ring, [g.transplant(ring) for g in gens])
+    if not dropped and y_ideal is not None:
         return y_ideal, R, ()
     left = PolyRing(field, [v for v in coords if v not in dropped])
     current = _generated_by(Ideal(left, [g.transplant(left) for g in gens])

@@ -131,15 +131,17 @@ def eliminate(I: Ideal, drop_vars, budget=None) -> Ideal:
 
 
 def _second_block(gb: GroebnerBasis, split) -> Ideal:
-    """The elimination ideal of the first `split` variables of a block-order
-    basis with that split.
+    """The elimination ideal of the first `split` variables of a lex basis,
+    or of a block-order basis with that split.
 
-    The basis elements free of those variables are its reduced grevlex basis
-    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, Ch. 3 Sec. 1).
-    The ideal is returned in a grevlex ring over the remaining variables,
-    generated by that basis and with it cached.
+    The basis elements free of those variables are its reduced basis in lex,
+    or in grevlex for a block order (Cox, Little & O'Shea, Ideals, Varieties,
+    and Algorithms, Ch. 3 Sec. 1).  The ideal is returned in a ring of that
+    order over the remaining variables, generated by that basis and with it
+    cached.
     """
-    ring = PolyRing(gb.ring.field, gb.ring.variables[split:], MonomialOrder("grevlex"))
+    kind = "lex" if gb.ring.order.kind == "lex" else "grevlex"
+    ring = PolyRing(gb.ring.field, gb.ring.variables[split:], MonomialOrder(kind))
     basis = GroebnerBasis(ring, [
         (lead[split:], {m[split:]: c for m, c in terms.items()})
         for lead, terms in gb.divisors
@@ -209,25 +211,28 @@ def _denominator_product(maps):
     return prod
 
 
-def _graph_basis(F: RationalMap, I_source: Ideal, target_vars):
-    """Block-order basis of the graph of F on V(I_source), denominators saturated.
+def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, order=None):
+    """Basis of the graph of F on V(I_source), denominators saturated.
 
     The first block holds the source variables, then one auxiliary variable
-    when F has non-constant denominators; the second block holds the target
-    variables (a tuple of names).  Returns (basis, size of the first block).
+    when F has non-constant denominators; the target variables (a tuple of
+    names) follow.  The basis is in `order`, by default the block order that
+    eliminates the first block.  Returns (basis, size of the first block).
     """
     ring = I_source.ring
     names = list(ring.variables)
     prod = _denominator_product([F])
     if prod is not None:
         names.append(_fresh_name("_sat", set(names) | set(target_vars)))
-    big = PolyRing(ring.field, tuple(names) + target_vars)
+    split = len(names)
+    big = PolyRing(ring.field, tuple(names) + target_vars,
+                   order or MonomialOrder("block", split=split))
     gens = [g.transplant(big) for g in I_source.generators]
     for tname, (num, den) in zip(target_vars, F.components):
         gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
     if prod is not None:
         gens.append(big.one - big.var(names[-1]) * prod.transplant(big))
-    return _block_basis(Ideal(big, gens), set(names))
+    return Ideal(big, gens).groebner_basis(), split
 
 
 def image_ideal(F: RationalMap, I_source: Ideal, target_vars, budget=None) -> Ideal:

@@ -104,6 +104,11 @@ def _parse(text, ring, lineno):
     return _at_line(lineno, parse_poly, text, ring)
 
 
+# Q as a degree-1 extension, over which the minimal polynomial is parsed to
+# reuse the expression grammar.
+_RATIONALS = NumberField([0, 1], gen_name="_q")
+
+
 def _parse_minpoly(text: str, lineno):
     """Rational coefficient list (ascending) of a monic-or-not univariate polynomial."""
     names = sorted(set(_NAME_RE.findall(text)))
@@ -112,9 +117,7 @@ def _parse_minpoly(text: str, lineno):
             f"line {lineno}: minimal polynomial must use exactly one variable, "
             f"found {names or 'none'}"
         )
-    # Parse over Q (a degree-1 trivial extension) just to reuse the grammar.
-    q = NumberField([0, 1], gen_name="_q")
-    ring = PolyRing(q, (names[0],))
+    ring = PolyRing(_RATIONALS, (names[0],))
     p = _parse(text, ring, lineno)
     degree = p.total_degree()
     coeffs = [Fraction(0)] * (degree + 1)
