@@ -10,6 +10,16 @@ re-exports the two entry points.
   Robbiano, Traverso, "One sugar cube, please", ISSAC 1991).  It prunes
   pairs once, as each basis element enters, by Gebauer and Moller's update
   (JSC 6, 1988; UPDATE in Becker & Weispfenning, Groebner Bases, 1993).
+- In lex, buchberger first solves the linear generators, in the spirit of
+  Faugere's F4 (JPAA 139, 1999): those of total degree <= 1 go to echelon
+  form, and every other generator is replaced by its remainder modulo that
+  echelon before any pair is formed.  A graph generator t_j - Q_j(x) then
+  becomes t_j - Q_j(M t), whose lead is free of the solved variables, so
+  the product criterion drops many of its pairs.  A reduced basis depends
+  only on the ideal (Cox, Little & O'Shea, Ideals, Varieties, and
+  Algorithms, Ch. 2 Sec. 7), so the output is the same.  In a degree or
+  block order the substituted leads are products of the t_j and share
+  variables, and the step can cost more than it saves, so it is not taken.
 - Division keeps the polynomial being reduced as a dict plus a heap of its
   monomials, so each step pops the largest term instead of scanning every
   term (Monagan & Pearce, CASC 2007).
@@ -212,6 +222,9 @@ def _divisor(first, rest, pk):
 def _monic(terms, pk, nf):
     """The divisor of a nonzero polynomial given as triples, lead first."""
     k0, lead, c0 = terms[0]
+    (one, *rest), den = c0
+    if one == den == 1 and not any(rest):
+        return _divisor(terms[0], terms[1:], pk)
     inv = nf.pair_inv(c0)
     times = nf.pair_mul
     tail = [(k, m, times(c, inv)) for k, m, c in terms[1:]]
@@ -310,10 +323,11 @@ def buchberger(gens, order, budget):
     Each basis element carries a sugar degree: the total degree of an input
     generator, and for a reduced S-polynomial the sugar of its pair,
     max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j).
-    Each element, input generators included, enters through Gebauer and
-    Moller's update, which queues only the pairs their criteria keep; pairs
-    leave the queue by (sugar, key(lcm), i, j).  Deterministic: identical
-    inputs produce identical output lists.
+    In lex the generators first go through _linear_first.  Each element,
+    input generators included, enters through Gebauer and Moller's update,
+    which queues only the pairs their criteria keep; pairs leave the queue
+    by (sugar, key(lcm), i, j).  Deterministic: identical inputs produce
+    identical output lists.
     """
     if not gens:
         return []
@@ -325,19 +339,49 @@ def buchberger(gens, order, budget):
         return [
             (unpack(d[0]),
              {unpack(m): element(nf, c) for _, m, c in _divisor_terms(d)})
-            for d in _buchberger(gens, pk, nf, budget)
+            for d in _buchberger(gens, pk, nf, budget, order.kind == "lex")
         ]
 
     return _packed(run, len(next(iter(gens[0]))), order, budget)
 
 
-def _buchberger(gens, pk, nf, budget):
-    start = []
+def _linear_first(gens, pk, nf, budget, lex):
+    """(monic divisor, sugar) of each generator, in lex after the linear step.
+
+    The generators of total degree <= 1 are brought to echelon form, every
+    other one is reduced by that echelon, and the pass repeats while a
+    remainder turns linear: such a remainder joins the echelon and one that
+    is 0 is dropped.  A reduced generator's sugar is its total degree, which
+    reduction by linear divisors never raises.
+    """
+    linear, other = [], []
     for terms in gens:
         triples = pk.terms(terms)
         lead = min(triples)  # the least negated key
         triples.remove(lead)
-        start.append((_monic([lead] + triples, pk, nf), max(map(sum, terms))))
+        sugar = max(map(sum, terms))
+        (linear if lex and sugar <= 1 else other).append(([lead] + triples, sugar))
+    unpack = pk.unpack
+    echelon = []
+    while linear:
+        for terms, _ in linear:
+            rem = _reduce(terms, echelon, pk, nf, budget)
+            if rem:
+                echelon.append(_monic(rem, pk, nf))
+        linear, kept = [], []
+        for terms, _ in other:
+            rem = _reduce(terms, echelon, pk, nf, budget)
+            if rem:
+                degree = max(sum(unpack(m)) for _, m, _ in rem)
+                (linear if degree <= 1 else kept).append((rem, degree))
+        other = kept
+    # A row's sugar is the degree of its lead: 1, or 0 for the constant 1.
+    return ([(d, sum(unpack(d[0]))) for d in echelon]
+            + [(_monic(t, pk, nf), s) for t, s in other])
+
+
+def _buchberger(gens, pk, nf, budget, lex):
+    start = _linear_first(gens, pk, nf, budget, lex)
     # Ascending by key; reverse=True keeps equal leads in input order.
     start.sort(key=lambda e: e[0][1], reverse=True)
     basis = [d for d, _ in start]
@@ -441,10 +485,11 @@ def _interreduce(basis, pk, nf, budget):
                 break
         else:
             kept.append(d)
-    # Tail-reduce each element against the others.
+    # Tail-reduce each element against the others.  kept ascends by lead, and
+    # a larger lead divides no term of an element, so the smaller ones suffice.
     out = []
     for idx, d in enumerate(kept):
-        rem = _reduce(_divisor_terms(d), kept[:idx] + kept[idx + 1:], pk, nf, budget)
+        rem = _reduce(_divisor_terms(d), kept[:idx], pk, nf, budget)
         if rem:
             out.append(_monic(rem, pk, nf))
     out.sort(key=itemgetter(1), reverse=True)

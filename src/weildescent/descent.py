@@ -150,11 +150,20 @@ class DescentResult:
 
 
 def _equality_basis(ideal: Ideal, maps):
-    """Groebner basis of the ideal saturated by the maps' denominators."""
+    """Groebner basis of the ideal, which its saturation by the product of the
+    maps' denominators must equal.
+
+    They are equal exactly when the product lies in no associated prime of
+    the ideal, embedded ones included, so that every map is defined on a
+    dense open subset of every component (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 4 Sec. 4).  Otherwise ZeroDenominator.
+    """
+    gb = ideal.groebner_basis()
     prod = _denominator_product(maps)
-    if prod is None:
-        return ideal.groebner_basis()
-    return saturate(ideal, prod).groebner_basis()
+    if prod is not None and saturate(ideal, prod).groebner_basis().divisors != gb.divisors:
+        raise ZeroDenominator(
+            "a map denominator vanishes on a component of the variety")
+    return gb
 
 
 def _first_mismatch(f: RationalMap, g: RationalMap, ideal: Ideal):
@@ -273,14 +282,17 @@ def verify_datum(d: DescentDatum, budget=None, strict=True) -> DatumReport:
 
 
 def _conjugates_disjoint(X: AffineVariety, group) -> bool:
-    """Whether the conjugates of X are pairwise disjoint (each sum is the unit ideal)."""
-    conj = [X.ideal.sigma(group, s) for s in group]
-    for i in range(len(conj)):
-        for j in range(i + 1, len(conj)):
-            joint = Ideal(X.ring, list(conj[i].generators) + list(conj[j].generators))
-            if not joint.is_unit():
-                return False
-    return True
+    """Whether the conjugates of X are pairwise disjoint.
+
+    The sum of sigma_i X and sigma_j X is sigma_i applied to X plus
+    sigma_i^-1 sigma_j X, and sigma_i keeps the unit ideal, so it is enough
+    that X + sigma X is the unit ideal for each sigma but the identity.
+    """
+    gens = list(X.generators)
+    return all(
+        Ideal(X.ring, gens + list(X.ideal.sigma(group, s).generators)).is_unit()
+        for s in group.nontrivial
+    )
 
 
 def disjointify(d: DescentDatum, budget=None) -> DescentDatum:
@@ -702,12 +714,16 @@ def check_claimed_model(problem, claimed, budget=None) -> DatumReport:
         )
 
         # R(X) lands inside Y: each Y generator composed with R vanishes on X.
-        x_gb = _equality_basis(X.ideal, [R])
-        rems = _composed_normal_forms(claimed.y_generators, R, x_gb)
-        for gi, rem in enumerate(rems):
-            ok = rem.is_zero()
-            report.add(f"image containment generator_{gi}", ok,
-                       None if ok else str(rem))
+        try:
+            x_gb = _equality_basis(X.ideal, [R])
+        except ZeroDenominator as exc:
+            report.add("image containment", False, str(exc))
+        else:
+            rems = _composed_normal_forms(claimed.y_generators, R, x_gb)
+            for gi, rem in enumerate(rems):
+                ok = rem.is_zero()
+                report.add(f"image containment generator_{gi}", ok,
+                           None if ok else str(rem))
 
         for s in group.nontrivial:
             try:

@@ -329,6 +329,77 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+# X is the two points 0 and 1 over Q(i); each datum map and claimed map
+# below has a denominator that vanishes on a whole component, or on an
+# embedded one, of its variety.
+_TWO_POINTS = """\
+[field]
+minpoly = t^2 + 1
+generator = i
+
+[galois]
+e = i
+conj = -i
+
+[variety]
+variables = x1
+equation = x1^2 - x1
+"""
+_UNDEFINED_AT_ZERO = _TWO_POINTS + "[datum.conj]\ncomponent = 1\ndenominator = x1\n"
+# V(x1^2, x1*x2) is the line x1 = 0 with the origin embedded; x2 vanishes
+# on the origin only.
+_EMBEDDED = _TWO_POINTS.replace(
+    "variables = x1\nequation = x1^2 - x1",
+    "variables = x1, x2\nequation = x1^2\nequation = x1*x2",
+) + "[datum.conj]\ncomponent = x1\ncomponent = x2^2 + x1\ndenominator = x2\n"
+_ONTO_ONE_POINT = """\
+[Y]
+variables = t1
+equation = t1 - 1
+
+[map]
+component = 1
+denominator = x1
+
+[inverse]
+component = t1
+"""
+
+
+@pytest.mark.parametrize("text", [_UNDEFINED_AT_ZERO, _EMBEDDED],
+                         ids=["component", "embedded"])
+@pytest.mark.parametrize("command", ["verify-datum", "descend"])
+def test_datum_undefined_on_a_component_exit_two(command, text, tmp_path, capsys):
+    problem = tmp_path / "problem.txt"
+    problem.write_text(text)
+    code, out, err = run(capsys, command, str(problem))
+    assert (code, out) == (2, "")
+    assert err == "input error: a map denominator vanishes on a component of the variety\n"
+
+
+def test_claimed_map_undefined_on_a_component_fails(tmp_path, capsys):
+    # R = 1/x1 maps the two points onto one: no birational map.
+    problem = tmp_path / "problem.txt"
+    problem.write_text(_TWO_POINTS + "[datum.conj]\ncomponent = x1\n")
+    claimed = tmp_path / "claimed.txt"
+    claimed.write_text(_ONTO_ONE_POINT)
+    code, out, _ = run(capsys, "check-model", str(problem), "--claimed", str(claimed))
+    assert code == 1
+    assert ("FAIL  image containment  (witness: a map denominator vanishes on a "
+            "component of the variety)") in out.splitlines()
+
+
+def test_python_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "weildescent", "verify-datum", fixture_path("conic.txt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "result = pass"
+
+
 class TestVerifyDatum:
     def test_golden_fixture_passes(self, capsys):
         code, out, err = run(capsys, "verify-datum", fixture_path("humbert.txt"))

@@ -380,6 +380,22 @@ class TestDisjointify:
         assert _conjugates_disjoint(dd.variety, group)
         assert wd.verify_datum(dd).ok
 
+    def test_disjointness_takes_one_unit_check_per_nontrivial_sigma(self, monkeypatch):
+        # The S3 points after disjointify: all 15 pairs of conjugates are
+        # disjoint, and X + sigma X for the 5 nontrivial sigma tells so.
+        problem = load_problem_text(S3_ORIGIN_POINTS)
+        group = problem.datum.group
+        X = wd.disjointify(problem.datum).variety
+        conj = [X.ideal.sigma(group, s).generators for s in group]
+        assert all(wd.Ideal(X.ring, list(a) + list(b)).is_unit()
+                   for k, a in enumerate(conj) for b in conj[k + 1:])
+        checks = []
+        is_unit = wd.Ideal.is_unit
+        monkeypatch.setattr(wd.Ideal, "is_unit",
+                            lambda ideal: checks.append(ideal) or is_unit(ideal))
+        assert _conjugates_disjoint(X, group)
+        assert len(checks) == len(group.nontrivial) == 5
+
     def test_already_disjoint_untouched(self, humbert):
         assert wd.disjointify(humbert) is humbert
 
@@ -586,13 +602,13 @@ class TestRunBudget:
         wd.descend(humbert_datum(), prune=True, budget=total)
 
     # The steps of each Buchberger call and the normal-form steps in all of a
-    # pruned descent on a freshly loaded problem: the kernel's S-pair order,
-    # the Gebauer-Moller criteria that prune pairs as each element is
-    # inserted, and the choice of divisor fix them.
+    # pruned descent on a freshly loaded problem: the kernel's linear step in
+    # lex, its S-pair order, the Gebauer-Moller criteria that prune pairs as
+    # each element is inserted, and the choice of divisor fix them.
     KERNEL_WORK = {
         "humbert": ([9, 69, 25, 13, 6, 5, 27], 8),
         "twisted_conic": ([8, 3, 6, 0, 3, 5, 9, 6, 6, 5, 4, 6, 6,
-                           211, 17, 20, 0, 4, 7, 23, 3, 3], 8),
+                           222, 17, 20, 0, 4, 7, 23, 3, 3], 8),
     }
 
     @pytest.mark.parametrize("name", sorted(KERNEL_WORK))

@@ -11,6 +11,7 @@ from sympy.polys.rings import ring as sympy_ring
 
 import weildescent as wd
 from tests.conftest import humbert_datum
+from weildescent import _pykernel
 from weildescent._pykernel import _run
 from weildescent.descent import _sigma_stable
 
@@ -445,6 +446,160 @@ class TestPairCriteria:
             for gens in permutations(self.terms(self.CASES[case], order))
         }
         assert len(bases) == 1
+
+
+def linear_terms(degree):
+    """Term dicts in x, y, z of total degree <= 1, coefficients as in
+    oracle_terms."""
+    coeff = st.tuples(*[st.integers(-3, 3)] * degree).filter(any)
+    mono = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    return st.dictionaries(mono, coeff, min_size=1, max_size=4)
+
+
+def linear_cases():
+    """(field name, order, one to three linear generators and up to two
+    others, one more polynomial): inputs of the kernel's linear step."""
+    def for_field(name):
+        degree = ORACLE_FIELDS[name][0].degree
+        return st.tuples(
+            st.just(name),
+            st.sampled_from(sorted(SYMPY_ORDERS)),
+            st.tuples(
+                st.lists(linear_terms(degree), min_size=1, max_size=3),
+                st.lists(oracle_terms(degree), max_size=2),
+            ).map(lambda lists: lists[0] + lists[1]),
+            oracle_terms(degree),
+        )
+    return st.sampled_from(["Q(i)", "cubic"]).flatmap(for_field)
+
+
+def humbert_lex_graph_generators(monkeypatch):
+    """The generators and order of the lex graph basis of a pruned Humbert
+    descent: the kernel call in the most variables."""
+    kernel = sys.modules["weildescent.kernel"]
+    calls = []
+
+    def recorded(gens, order, budget):
+        calls.append((gens, order))
+        return buchberger(gens, order, budget)
+
+    buchberger = kernel.buchberger
+    monkeypatch.setattr(kernel, "buchberger", recorded)
+    wd.descend(humbert_datum(), prune=True)
+    monkeypatch.setattr(kernel, "buchberger", buchberger)
+    gens, order = max(calls, key=lambda call: len(next(iter(call[0][0]))))
+    assert order.kind == "lex"
+    return gens, order
+
+
+def steps(gens, order):
+    """The reduction steps that one kernel call on gens spends."""
+    budget = [10**6]
+    wd.kernel.buchberger(gens, order, budget)
+    return 10**6 - budget[0]
+
+
+class TestLinearStep:
+    """In lex the kernel solves the generators of total degree <= 1 first
+    and reduces the others by them.  The reduced basis depends only on the
+    ideal, so every order must still give sympy's."""
+
+    # g is the field's generator: i over Q(i), a over the cyclic cubic.
+    CASES = {
+        "dependent": ["x + y - z", "2*x + 2*y - 2*z", "x - g*y", "y^2 - x*z + g"],
+        "constant": ["x^2 - y*z", "g", "x + z"],
+        "inconsistent": ["x + y", "x + y + 1", "y^2 - z"],
+        "all_linear": ["x + g*y - z", "y - 2*z + 1", "x - z"],
+        # x^2 - y*z is 0 modulo x = y = z.
+        "becomes_zero": ["x - y", "y - z", "x^2 - y*z"],
+        # x^2 - y^2 + x + z - 1 leaves y + z - 1 modulo x = y, which then
+        # reduces z^3 - g*y.
+        "becomes_linear": ["x - y", "x^2 - y^2 + x + z - 1", "z^3 - g*y"],
+    }
+    TARGET = "x^3*y + 2*y^2*z - g*x + 5"
+
+    @pytest.mark.parametrize("field", ["Q(i)", "cubic"])
+    @pytest.mark.parametrize("order", sorted(SYMPY_ORDERS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_sympy(self, case, order, field):
+        ring = wd.PolyRing(ORACLE_FIELDS[field][0], ("x", "y", "z"), package_order(order))
+        gen = ring.field.gen_name
+
+        def vector(text):
+            terms = p(text.replace("g", gen), ring).terms
+            return {m: c.coeffs for m, c in terms.items()}
+
+        assert_matches_sympy(field, order, [vector(t) for t in self.CASES[case]],
+                             vector(self.TARGET))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(linear_cases())
+    def test_random_linear_inputs_match_sympy(self, case):
+        assert_matches_sympy(*case)
+
+    def test_humbert_graph_basis_after_solving_by_hand(self, monkeypatch):
+        # Solve the linear generators for their lex-largest variables by
+        # Gauss-Jordan elimination and substitute the solution into the
+        # others: a different set of generators of the same ideal.
+        gens, order = humbert_lex_graph_generators(monkeypatch)
+        field = next(iter(gens[0].values())).field
+        n = len(next(iter(gens[0])))
+        ring = wd.PolyRing(field, tuple(f"v{k}" for k in range(n)), order)
+        polys = [wd.MultiPoly(ring, terms) for terms in gens]
+        linear = [P for P in polys if P.total_degree() <= 1]
+        assert len(linear) >= 4
+        unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+        rows = {}  # pivot variable -> row, monic in it and free of the other pivots
+        for P in linear:
+            for v, row in rows.items():
+                if P.uses_variable(v):
+                    P = P - row.scale(P.terms[unit[v]])
+            if P.is_zero():
+                continue
+            v = min(k for k in range(n) if P.uses_variable(k))
+            P = P.scale(P.terms[unit[v]].inverse())
+            for w, row in rows.items():
+                if row.uses_variable(v):
+                    rows[w] = row - P.scale(row.terms[unit[v]])
+            rows[v] = P
+        values = [ring.var(k) - rows[k] if k in rows else ring.var(k) for k in range(n)]
+        others = [P.substitute(values) for P in polys if P.total_degree() > 1]
+        assert not any(P.uses_variable(v) for P in others for v in rows)
+        by_hand = [row.terms for row in rows.values()] + [
+            P.terms for P in others if not P.is_zero()]
+        assert (wd.kernel.buchberger(by_hand, order, [10**6])
+                == wd.kernel.buchberger(gens, order, [10**6]))
+
+    def test_budget_one_step_short(self, monkeypatch):
+        gens, order = humbert_lex_graph_generators(monkeypatch)
+        total = steps(gens, order)
+        budget = [total]
+        wd.kernel.buchberger(gens, order, budget)
+        assert budget == [0]
+        budget = [total - 1]
+        with pytest.raises(wd.ResourceLimit):
+            wd.kernel.buchberger(gens, order, budget)
+        assert budget == [-1]
+
+    def test_overflow_restart_counts_steps_once(self, qi, monkeypatch):
+        # Reducing x^8*y^32760 by x = y takes y past the largest exponent
+        # that a 16-bit field holds, after some of the 8 steps; the call
+        # starts again with 32-bit fields.
+        ring = wd.PolyRing(qi, ("x", "y", "z"), wd.MonomialOrder("lex"))
+        gens = [p("x^8*y^32760 - z", ring).terms, p("x - y", ring).terms]
+        order = ring.order
+        widths = []
+        packing = _pykernel._packing
+
+        def recorded(order, nvars, width):
+            widths.append(width)
+            return packing(order, nvars, width)
+
+        monkeypatch.setattr(_pykernel, "_packing", recorded)
+        spent = steps(gens, order)
+        assert widths == [16, 32]
+        monkeypatch.setattr(_pykernel, "_FIRST_WIDTH", 32)
+        assert steps(gens, order) == spent == 8
 
 
 class TestImageIdeal:
