@@ -42,7 +42,7 @@ from .multipoly import (
     RationalMap,
     compose_map,
     identity_map,
-    _substitute_fraction,
+    _PowerTable,
 )
 from .numberfield import GaloisGroup
 
@@ -222,10 +222,9 @@ def _composed_normal_forms(gens, F: RationalMap, gb):
     Zero means P o F vanishes on V(gb) when gb is saturated by F's
     denominators.  Lazy, so a caller can stop at the first failure.
     """
-    nums, dens = F.numerators(), F.denominators()
+    table = _PowerTable(F.ring, F.components)
     for P in gens:
-        num, _ = _substitute_fraction(P, nums, dens, F.ring)
-        yield normal_form(num, gb)
+        yield normal_form(table.poly(table.substitute(P)[0]), gb)
 
 
 def _reduce_map(F: RationalMap, gb) -> RationalMap:

@@ -3,11 +3,29 @@
 A polynomial ring fixes a variable tuple, a monomial order and the coefficient
 field; polynomials are immutable dicts exponent-tuple -> NumberFieldElement
 with no stored zeros.
+
+Substitution into a map f = (n_1/d_1, ..., n_k/d_k) goes through one power
+table per map, which compose_map, MultiPoly.substitute and evaluate build once
+per call and share across every polynomial they substitute:
+
+- The table keeps the powers n_i^e and d_i^e as sparse dicts {exponent tuple:
+  pair} over the field's (num, den) pairs, with no zero stored, and does its
+  arithmetic with the field's pair_mul and pair_add (sparse dict arithmetic as
+  in Monagan & Pearce, CASC 2007).  Each power is built from the one below it
+  the first time some polynomial needs it.  A denominator equal to 1 has no
+  powers, and no factor equal to 1 is multiplied in.
+- A polynomial P is substituted as P(n/d) * prod_i d_i^deg_i, with deg_i the
+  degree of P in variable i, by a multivariate Horner scheme (Pena & Sauer,
+  SIAM J. Numer. Anal. 37, 2000): the terms of P are grouped by their
+  exponent of each variable in turn, so monomials that agree in their first
+  exponents share the partial product of those factors.  Coefficients are
+  wrapped as elements once per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from . import kernel
 from ._pykernel import _as_budget, _spend
@@ -287,8 +305,8 @@ class MultiPoly:
     def substitute(self, values):
         """Evaluate at a list of polynomials (one per ring variable)."""
         target = values[0].ring if values else self.ring
-        ones = [target.one] * len(values)
-        return _substitute_fraction(self, values, ones, target)[0]
+        table = _PowerTable(target, [(v, None) for v in values])
+        return table.poly(table.substitute(self)[0])
 
     def evaluate(self, point):
         """Evaluate at field elements; returns a NumberFieldElement."""
@@ -478,7 +496,18 @@ class RationalMap:
         return f"RationalMap[{comps}]"
 
 
+def _is_one(p: MultiPoly) -> bool:
+    """Whether p is the constant 1."""
+    if len(p.terms) != 1:
+        return False
+    ((mono, c),) = p.terms.items()
+    num, den = c.pair
+    return den == 1 and num[0] == 1 and not any(mono) and not any(num[1:])
+
+
 def _normalize_fraction(num: MultiPoly, den: MultiPoly):
+    if _is_one(den):
+        return num, den  # already in lowest terms, with a monic denominator
     ring = num.ring
     if num.is_zero():
         return ring.zero, ring.one
@@ -504,52 +533,140 @@ def identity_map(ring: PolyRing) -> RationalMap:
     return RationalMap(ring, [(v, ring.one) for v in ring.gens()], normalize=False)
 
 
-def _substitute_fraction(P: MultiPoly, numerators, denominators, target: PolyRing):
-    """P(n1/d1, ..., nk/dk) as a (numerator, denominator) pair over target.
+class _PowerTable:
+    """Powers of the components n_i/d_i of one map, built on demand.
 
-    The powers of each numerator and denominator are charged to the run's
-    budget, one step each, before any is built.  No power of a denominator
-    equal to 1 is built, and no factor equal to 1 is multiplied in.
+    components are (n_i, d_i) pairs of polynomials over target; d_i is None
+    or the constant 1 for a polynomial component.  npow[i][e - 1] is n_i^e and
+    dpow[i][e - 1] is d_i^e, as sparse pair dicts; dpow[i] is None when d_i is
+    1.  The table lives for one call: nothing keeps it afterwards.
     """
-    degs = [max(P.degree_in(i), 0) for i in range(P.ring.nvars)]
-    _spend(_as_budget(None), 2 * sum(degs))
-    one = target.one
-    # factors[i][e]: the factors other than 1 of n_i^e * d_i^(deg_i - e).
-    factors = []
-    full_den = None
-    for i, deg in enumerate(degs):
-        fs = [[]]
-        if deg:
-            n, d = numerators[i], denominators[i]
-            npw = [n]  # npw[k] = n^(k+1)
-            for _ in range(deg - 1):
-                npw.append(npw[-1] * n)
-            fs += [[p] for p in npw]
-            if d != one:
-                dpw = [d]
-                for _ in range(deg - 1):
-                    dpw.append(dpw[-1] * d)
-                for e in range(deg):
-                    fs[e].append(dpw[deg - e - 1])
-                full_den = dpw[-1] if full_den is None else full_den * dpw[-1]
-        factors.append(fs)
-    out = {}
-    constant = {(0,) * target.nvars: target.field.one}
-    for mono, coeff in P.sorted_terms():
-        term = None
-        for fs, e in zip(factors, mono):
-            for p in fs[e]:
-                term = p if term is None else term * p
-        for m, c in (constant if term is None else term.terms).items():
-            c = coeff * c
+
+    __slots__ = ("target", "one", "pair_mul", "pair_add", "constant", "npow", "dpow",
+                 "mixed")
+
+    def __init__(self, target: PolyRing, components):
+        self.target = target
+        self.one = target.one
+        self.pair_mul = target.field.pair_mul
+        self.pair_add = target.field.pair_add
+        self.constant = (0,) * target.nvars
+        self.npow, self.dpow = [], []
+        for n, d in components:
+            self.npow.append([{m: c.pair for m, c in n.terms.items()}])
+            self.dpow.append(None if d is None or _is_one(d)
+                             else [{m: c.pair for m, c in d.terms.items()}])
+        self.mixed = {}  # (i, e, deg) -> n_i^e * d_i^(deg - e)
+
+    def poly(self, terms) -> MultiPoly:
+        """The pair dict terms as a polynomial over target; None is 1."""
+        if terms is None:
+            return self.one
+        field = self.target.field
+        return MultiPoly(self.target, {m: NumberFieldElement(field, c)
+                                       for m, c in terms.items()})
+
+    def substitute(self, P: MultiPoly):
+        """(N, D) with P(n_1/d_1, ..., n_k/d_k) = N/D, as pair dicts.
+
+        D is prod_i d_i^deg_i over the variables of P, None when that is 1.
+        Two steps per unit of each deg_i are charged to the run's budget,
+        before any power is built.
+        """
+        if len(P.terms) > 1:
+            degs = tuple(map(max, *P.terms))
+        else:
+            degs = next(iter(P.terms), (0,) * P.ring.nvars)
+        _spend(_as_budget(None), 2 * sum(degs))
+        used = [i for i, deg in enumerate(degs) if deg]
+        if not used:
+            return {self.constant: c.pair for c in P.terms.values()}, None
+        num = self._horner([(m, c.pair) for m, c in P.terms.items()], used, degs, 0)
+        den = None
+        for i in used:
+            if self.dpow[i] is not None:
+                den = self.times(den, self._power(self.dpow[i], degs[i]))
+        return num, den
+
+    def _horner(self, terms, used, degs, k):
+        """sum of c * prod_{j >= k} factor(used[j]) over the (mono, c) terms,
+        which agree in the exponents of used[:k]."""
+        i = used[k]
+        groups = {}
+        for term in terms:
+            groups.setdefault(term[0][i], []).append(term)
+        out = {}
+        last = k + 1 == len(used)
+        for e, group in groups.items():
+            factor = self._factor(i, e, degs[i])
+            if last:
+                # The terms agree in every used exponent, so there is one.
+                ((_, c),) = group
+                inner = {self.constant: c}
+            else:
+                inner = self._horner(group, used, degs, k + 1)
+            self._add_product(out, factor, inner)
+        return out
+
+    def _power(self, pows, e):
+        """pows[e - 1], building the missing powers of pows[0] up to e."""
+        while len(pows) < e:
+            pows.append(self._add_product({}, pows[-1], pows[0]))
+        return pows[e - 1]
+
+    def _factor(self, i, e, deg):
+        """n_i^e * d_i^(deg - e), or None when it is 1."""
+        npw = self._power(self.npow[i], e) if e else None
+        dpow = self.dpow[i]
+        if dpow is None or e == deg:
+            return npw
+        dpw = self._power(dpow, deg - e)
+        if npw is None:
+            return dpw
+        key = (i, e, deg)
+        out = self.mixed.get(key)
+        if out is None:
+            out = self.mixed[key] = self._add_product({}, npw, dpw)
+        return out
+
+    def times(self, a, b):
+        """a * b; None is 1."""
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return self._add_product({}, a, b)
+
+    def _add_into(self, out, b):
+        """out + b, computed in out."""
+        pair_add = self.pair_add
+        for m, c in b.items():
             s = out.get(m)
             if s is not None:
-                c = s + c
-            if c.is_zero():
-                del out[m]
-            else:
+                c = pair_add(s, c)
+                if not any(c[0]):
+                    del out[m]
+                    continue
+            out[m] = c
+        return out
+
+    def _add_product(self, out, a, b):
+        """out + a * b, computed in out; a is None for 1."""
+        if a is None:
+            return self._add_into(out, b)
+        pair_mul, pair_add = self.pair_mul, self.pair_add
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(map(add, m1, m2))
+                c = pair_mul(c1, c2)
+                s = out.get(m)
+                if s is not None:
+                    c = pair_add(s, c)
+                    if not any(c[0]):
+                        del out[m]
+                        continue
                 out[m] = c
-    return MultiPoly(target, out), one if full_den is None else full_den
+        return out
 
 
 def compose_map(g: RationalMap, f: RationalMap) -> RationalMap:
@@ -559,16 +676,15 @@ def compose_map(g: RationalMap, f: RationalMap) -> RationalMap:
             f"cannot compose: inner map has arity {f.target_arity}, "
             f"outer map expects {g.ring.nvars} variables"
         )
-    target = f.ring
-    nums = [num for num, _ in f.components]
-    dens = [den for _, den in f.components]
+    table = _PowerTable(f.ring, f.components)
     comps = []
     for gnum, gden in g.components:
-        nn, nd = _substitute_fraction(gnum, nums, dens, target)
-        dn, dd = _substitute_fraction(gden, nums, dens, target)
-        num = nn * dd
-        den = nd * dn
-        if den.is_zero():
-            raise ZeroDenominator("denominator vanished under composition")
-        comps.append((num, den))
-    return RationalMap(target, comps)
+        num, den = table.substitute(gnum)
+        if not _is_one(gden):
+            # gnum/gden at n/d: (N_num * D_den) / (D_num * N_den).
+            den_num, den_den = table.substitute(gden)
+            if not den_num:
+                raise ZeroDenominator("denominator vanished under composition")
+            num, den = table.times(num, den_den), table.times(den, den_num)
+        comps.append((table.poly(num), table.poly(den)))
+    return RationalMap(f.ring, comps)

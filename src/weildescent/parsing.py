@@ -15,7 +15,9 @@ with no zero stored, whose coefficients are the field's (num, den) pairs
 (sparse dict arithmetic as in Monagan & Pearce, CASC 2007).  Terms come out
 in the order MultiPoly arithmetic would give them, so a parsed polynomial
 iterates as it always has; parse_poly wraps the pairs into one MultiPoly at
-the end.  Its products are not charged to the run's budget.
+the end.  Each product spends one step of the run's budget per pair of terms
+it multiplies, before it builds anything, so a power of a sum stops on the
+budget instead of expanding.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import re
 from operator import add
 
+from ._pykernel import _as_budget, _spend
 from .errors import PolyParseError, UnknownVariable
 from .multipoly import MultiPoly, PolyRing
 from .numberfield import NumberFieldElement, _lowest
@@ -67,6 +70,7 @@ class _Parser:
         self.one = (1,) + self.zeros, 1
         self.constant_mono = (0,) * ring.nvars
         self.gen = None  # the generator's pair, read on its first use
+        self.budget = _as_budget(None)
 
     def peek(self):
         return self.tokens[self.i]
@@ -102,30 +106,36 @@ class _Parser:
         neg = self.neg
         return {m: neg(c) for m, c in a.items()}
 
-    def _times(self, a, b):
+    def _scaled(self, a, mono, c):
+        """a times the term c*mono, in a's term order."""
         mul = self.mul
+        if any(mono):
+            return {tuple(map(add, m, mono)): mul(x, c) for m, x in a.items()}
+        return {m: mul(x, c) for m, x in a.items()}
+
+    def _times(self, a, b):
+        """a * b, after spending one step per pair of terms."""
+        _spend(self.budget, len(a) * len(b))
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
             # One side scales the other, whose term order the product keeps.
             ((mono, c),) = b.items()
-            if any(mono):
-                return {tuple(map(add, m, mono)): mul(x, c) for m, x in a.items()}
-            return {m: mul(x, c) for m, x in a.items()}
+            return self._scaled(a, mono, c)
         out = {}
         for m1, c1 in a.items():
-            self._add_into(out, self._times({m1: c1}, b))
+            self._add_into(out, self._scaled(b, m1, c1))
         return out
 
     def _power(self, base, n):
-        out = {self.constant_mono: self.one}
+        out = None  # the constant 1, never multiplied in
         while n:
             if n & 1:
-                out = self._times(out, base)
+                out = base if out is None else self._times(out, base)
             n >>= 1
             if n:
                 base = self._times(base, base)
-        return out
+        return {self.constant_mono: self.one} if out is None else out
 
     # -- grammar ---------------------------------------------------------------
 

@@ -365,16 +365,16 @@ def load_claimed_model_text(text: str, problem: ProblemFile) -> ClaimedModel:
     field = problem.field
     y_vars = _variable_names(by_name["Y"], field.gen_name, "[Y]")
     y_ring = PolyRing(field, tuple(y_vars))
-    y_gens = [
-        _parse(value, y_ring, lineno)
-        for key, value, lineno in by_name["Y"]
-        if key == "equation"
-    ]
     x_ring = problem.variety.ring
-    comps = _parse_components(by_name["map"], headers["map"], x_ring, "[map]",
-                              len(y_vars))
     inverse = None
     with _run(problem.budget):
+        y_gens = [
+            _parse(value, y_ring, lineno)
+            for key, value, lineno in by_name["Y"]
+            if key == "equation"
+        ]
+        comps = _parse_components(by_name["map"], headers["map"], x_ring, "[map]",
+                                  len(y_vars))
         claimed_map = RationalMap(x_ring, comps)
         if "inverse" in by_name and by_name["inverse"]:
             inv_comps = _parse_components(by_name["inverse"], headers["inverse"],

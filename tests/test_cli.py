@@ -4,13 +4,15 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import weildescent as wd
-from weildescent import cli, problemfile
+from weildescent import cli, multipoly, problemfile
+from weildescent._pykernel import _run
 from weildescent.cli import main
 from weildescent.kernel import DEFAULT_BUDGET
 from weildescent.problemfile import load_problem
@@ -38,6 +40,29 @@ OCTIC_POINT = "\n".join(
     + ["[variety]", "variables = x1", "equation = x1"]
     + [line for k in range(1, 8) for line in (f"[datum.g{k}]", "component = x1")]
 )
+
+# A surface over Q(i) defined over Q, with the identity datum, whose equation
+# expands to 12,340 terms.
+POWER_OF_A_SUM = """[field]
+minpoly = t^2 + 1
+generator = i
+
+[galois]
+e = i
+conj = -i
+
+[variety]
+variables = x1, x2, x3
+equation = (x1 + x2 + x3 + 1)^40 - 1
+
+[datum.conj]
+component = x1
+component = x2
+component = x3
+
+[options]
+budget = 1000
+"""
 
 
 def test_every_result_document_is_pinned():
@@ -474,13 +499,16 @@ class TestVerifyDatum:
         # i*x2^100000 with itself in the cocycle check, needs that many powers
         # of each component; the budget is charged for them before any is built.
         products = [0]
-        mul = wd.MultiPoly.__mul__
 
-        def counted(self, other):
-            products[0] += 1
-            return mul(self, other)
+        def counted(fn):
+            def wrapper(*args):
+                products[0] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(wd.MultiPoly, "__mul__", counted)
+        monkeypatch.setattr(wd.MultiPoly, "__mul__", counted(wd.MultiPoly.__mul__))
+        table = multipoly._PowerTable
+        monkeypatch.setattr(table, "_add_product", counted(table._add_product))
         text = read_fixture("conic.txt")
         assert old in text
         bad = tmp_path / "bad.txt"
@@ -490,6 +518,31 @@ class TestVerifyDatum:
         assert "resource limit" in err
         assert products[0] < 1000
 
+    def test_claimed_power_of_a_sum_stops_on_budget(self, tmp_path, capsys):
+        # check-model parses [Y] and [map] inside the run too.
+        claimed = tmp_path / "claimed.txt"
+        claimed.write_text(read_fixture("conic_unpruned_result.txt").replace(
+            "equation = t4 + 1", "equation = (t1 + t2 + t3 + 1)^40 - 1"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-model", fixture_path("conic.txt"),
+                             "--claimed", str(claimed), "--budget", "1000")
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+
+    def test_power_of_a_sum_stops_on_budget(self, tmp_path, capsys):
+        # The parser spends a step per pair of terms it multiplies, before it
+        # builds the product, so the 12,341 terms of (x1 + x2 + x3 + 1)^40
+        # are never expanded under [options] budget = 1000.
+        path = tmp_path / "power.txt"
+        path.write_text(POWER_OF_A_SUM)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-datum", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
 
     def test_unknown_key_in_field_exit_two(self, tmp_path, capsys):
         # A misspelt key would otherwise be dropped without a word.
@@ -504,11 +557,17 @@ class TestVerifyDatum:
 
     def test_budget_covers_the_minimal_polynomial(self, tmp_path, capsys):
         # Each recombined subset of the irreducibility test spends a step of
-        # the budget the problem is loaded with; nothing else in loading does.
+        # the budget the problem is loaded with: 10 of the 100 steps of
+        # loading.  The other 90 are the parser's, one per pair of terms
+        # multiplied in the minimal polynomial and the images.
         path = tmp_path / "octic.txt"
         path.write_text(OCTIC_POINT)
         problem = load_problem(str(path), budget=DEFAULT_BUDGET)
-        assert DEFAULT_BUDGET - problem.budget[0] == 10
+        assert DEFAULT_BUDGET - problem.budget[0] == 100
+        run_budget = [DEFAULT_BUDGET]
+        with _run(run_budget):
+            wd.NumberField(problem.field.minpoly, gen_name="a")
+        assert DEFAULT_BUDGET - run_budget[0] == 10
         code, out, err = run(capsys, "verify-datum", str(path), "--budget", "5")
         assert code == 3
         assert out == ""
