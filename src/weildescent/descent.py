@@ -42,6 +42,8 @@ from .multipoly import (
     RationalMap,
     compose_map,
     identity_map,
+    _index_map,
+    _is_one,
     _PowerTable,
 )
 from .numberfield import GaloisGroup
@@ -457,7 +459,7 @@ def descend(
                                ("datum_into_conjugate", "into-conjugate"))
         }
 
-        graph, pruned = None, ()
+        graph, pruned, chart, dropped = None, (), None, ()
         stable = _x_stable_and_trivial(d)
         if stable:
             # X is fixed by every sigma and the datum is trivial: X is already a
@@ -502,15 +504,21 @@ def descend(
 
             # Y is the image of R, eliminated from the graph basis; _reduce_map
             # has already rejected a denominator vanishing on X.  Unpruned, the
-            # block-order graph basis gives Y in grevlex and R^-1 below.  Lex
-            # eliminates the source variables too, so pruning reads its first
-            # basis, Y's reduced lex basis over the coordinates in reverse, off
-            # the lex graph basis over them.
+            # block-order graph basis gives Y in grevlex and R^-1 below.
+            # Pruning starts from Y's reduced lex basis over the coordinates in
+            # reverse: from the affine chart of X among them when R has one,
+            # which also gives R^-1 below, and otherwise off the lex graph
+            # basis over them, where lex eliminates the source variables too.
             if prune:
                 y_ideal = None
-                reverse = RationalMap(R.ring, R.components[::-1], normalize=False)
-                y_lex = _second_block(*_graph_basis(
-                    reverse, X.ideal, tnames[::-1], MonomialOrder("lex")))
+                degree1 = sum(E.total_degree() == 1 for E in invars)
+                found = _affine_chart(R, X.ideal, tnames, degree1)
+                if found is not None:
+                    y_lex, dropped, chart = found
+                else:
+                    reverse = RationalMap(R.ring, R.components[::-1], normalize=False)
+                    y_lex = _second_block(*_graph_basis(
+                        reverse, X.ideal, tnames[::-1], MonomialOrder("lex")))
             else:
                 graph = _graph_basis(R, X.ideal, tnames)
                 y_ideal = _second_block(*graph)
@@ -518,7 +526,8 @@ def descend(
         # Pruning reads only reduced bases, which depend on the ideal alone,
         # so Y is certified once, on its final coordinates.
         if prune:
-            y_ideal, R, pruned = _prune_coordinates(y_lex, R, y_ideal)
+            y_ideal, R, pruned, dropped_by = _prune_coordinates(
+                y_lex, R, y_ideal, dropped)
         y_ideal = _certify_y(y_ideal, group, certificates)
 
         relation, witness = True, None
@@ -534,6 +543,8 @@ def descend(
         if want_inverse:
             if graph is not None:
                 inverse = _inverse_from_graph(*graph, X.ring.nvars, y_ideal)
+            elif chart is not None:
+                inverse = _chart_inverse(chart, dropped_by, y_ideal)
             elif stable and not pruned:
                 inverse = R
             else:
@@ -566,7 +577,9 @@ def _restrict_to_original(d: DescentDatum, R: RationalMap) -> RationalMap:
     already free of it.
     """
     ring = d.variety.ring
-    comps = [(num.transplant(ring), den.transplant(ring)) for num, den in R.components]
+    back = _index_map(R.ring, ring)
+    comps = [(num.transplant(ring, back), den.transplant(ring, back))
+             for num, den in R.components]
     return RationalMap(ring, comps, normalize=False)
 
 
@@ -632,16 +645,20 @@ def _inverse_from_graph(gb, split, n, I_Y: Ideal):
 def _reverse_lex(ideal: Ideal) -> Ideal:
     """The ideal in the lex ring over its variables in reverse order."""
     ring = PolyRing(ideal.ring.field, ideal.ring.variables[::-1], MonomialOrder("lex"))
-    return Ideal(ring, [g.transplant(ring) for g in ideal.generators])
+    reverse = _index_map(ideal.ring, ring)
+    return Ideal(ring, [g.transplant(ring, reverse) for g in ideal.generators])
 
 
-def _prune_coordinates(y_lex: Ideal, R: RationalMap, y_ideal=None):
+def _prune_coordinates(y_lex: Ideal, R: RationalMap, y_ideal=None, dropped=()):
     """Drop target coordinates expressible in the remaining ones.
 
     y_lex is Y in the lex ring over its coordinates in reverse, t_k first.
-    Coordinates are tested from the highest index down; t_j is dropped when
-    the ideal left contains t_j - p(the other coordinates left), and the
-    last coordinate left is never tested.
+    `dropped` names the coordinates above those that are dropped already,
+    from the highest index down: the ones an affine chart substituted away
+    (_affine_chart; Weil, Amer. J. Math. 78, 1956; Cox, Little & O'Shea,
+    Ch. 3 Secs. 1-3).  Coordinates are tested from the highest index down;
+    t_j is dropped when the ideal left contains t_j - p(the other
+    coordinates left), and the last coordinate left is never tested.
 
     The answer depends on the ideal alone, so any lex ring with t_j first
     among the coordinates left gives it (Cox, Little & O'Shea, Ideals,
@@ -654,13 +671,16 @@ def _prune_coordinates(y_lex: Ideal, R: RationalMap, y_ideal=None):
     candidate that fails is kept and moves behind the untested ones for the
     next pass.
 
-    Returns (Y, R, dropped).  Y is `y_ideal` when nothing is dropped and it
-    is given, and otherwise the reduced grevlex basis of the last pass's
-    generators over the coordinates left, in their order.
+    Returns (Y, R, dropped, elements).  Y is `y_ideal` when nothing is
+    dropped and it is given, and otherwise the reduced grevlex basis of the
+    last pass's generators over the coordinates left, in their order.
+    elements maps each coordinate dropped here, in drop order, to the basis
+    element t_j - p(rest) that dropped it.
     """
-    field, coords = y_lex.ring.field, y_lex.ring.variables[::-1]
+    field = y_lex.ring.field
+    coords = (tuple(dropped) + y_lex.ring.variables)[::-1]
     untested = list(y_lex.ring.variables)
-    kept, dropped = [], []
+    kept, dropped, elements = [], list(dropped), {}
     moved, gens = y_lex, y_lex.generators
     while True:
         names = untested + kept
@@ -668,9 +688,13 @@ def _prune_coordinates(y_lex: Ideal, R: RationalMap, y_ideal=None):
         if not limit:
             break
         gb = moved.groebner_basis()
-        leads = {lead for lead, _ in gb.divisors}
+        by_lead = {lead: g for (lead, _), g in zip(gb.divisors, gb.elements)}
         j = 0
-        while j < limit and (0,) * j + (1,) + (0,) * (len(names) - j - 1) in leads:
+        while j < limit:
+            g = by_lead.get((0,) * j + (1,) + (0,) * (len(names) - j - 1))
+            if g is None:
+                break
+            elements[untested[j]] = g
             j += 1
         dropped += untested[:j]
         gens = [g for (lead, _), g in zip(gb.divisors, gb.elements) if not any(lead[:j])]
@@ -679,14 +703,98 @@ def _prune_coordinates(y_lex: Ideal, R: RationalMap, y_ideal=None):
         kept.append(untested[j])
         untested = untested[j + 1:]
         ring = PolyRing(field, untested + kept, MonomialOrder("lex"))
-        moved = Ideal(ring, [g.transplant(ring) for g in gens])
+        to_ring = _index_map(moved.ring, ring)
+        moved = Ideal(ring, [g.transplant(ring, to_ring) for g in gens])
+        gens = moved.generators
     if not dropped and y_ideal is not None:
-        return y_ideal, R, ()
+        return y_ideal, R, (), elements
     left = PolyRing(field, [v for v in coords if v not in dropped])
-    current = _generated_by(Ideal(left, [g.transplant(left) for g in gens])
+    to_left = _index_map(moved.ring, left)
+    current = _generated_by(Ideal(left, [g.transplant(left, to_left) for g in gens])
                             .groebner_basis())
     comps = [c for v, c in zip(coords, R.components) if v not in dropped]
-    return current, RationalMap(R.ring, comps, normalize=False), tuple(dropped)
+    return current, RationalMap(R.ring, comps, normalize=False), tuple(dropped), elements
+
+
+def _affine_chart(R: RationalMap, I_X: Ideal, tnames, m):
+    """Y's first lex ideal and R^-1 from the affine chart of X in R's coordinates.
+
+    t_1..t_m are the degree-1 coordinates, the traces of x under the datum.
+    Gauss-Jordan elimination finds the first n of them, lin, that are affine
+    in x with an invertible linear part L.  Then R_lin = L x + c, and
+    x = M(t_lin - c) with M = L^-1 wherever t = R(x): the trace construction
+    behind Weil's theorem (Weil, The field of definition of a variety, Amer.
+    J. Math. 78, 1956).  The graph ideal I_X + <t - R(x)> contains
+    x - M(t_lin - c), so its part free of x and of t_k, ..., t_{m+1} comes
+    from a substitution, not an elimination: P(M(t_lin - c)) for P in I_X
+    and t_j - R_j(M(t_lin - c)) for j <= m outside lin generate it (Cox,
+    Little & O'Shea, Ideals, Varieties, and Algorithms, Ch. 3 Secs. 1-3).
+    Each t_j with j > m has t_j - R_j(M(t_lin - c)) in Y's ideal, with lead
+    t_j in lex over the coordinates in reverse, so pruning drops it first.
+
+    Returns (that ideal in lex over t_m, ..., t_1, the names t_k, ...,
+    t_{m+1}, the n polynomials M(t_lin - c) over its ring).  None when R has
+    a denominator or when the affine ones among t_1..t_m have rank below n.
+    """
+    ring = R.ring
+    n = ring.nvars
+    if not n or not all(_is_one(den) for _, den in R.components):
+        return None
+    big = PolyRing(ring.field, ring.variables + tuple(tnames[:m]))
+    to_big = _index_map(ring, big)
+    unit = [(0,) * v + (1,) + (0,) * (big.nvars - v - 1) for v in range(n)]
+    rows, lin = {}, set()  # pivot x_v -> row, monic in x_v and free of the other pivots
+    for j, (num, _) in enumerate(R.components[:m]):
+        if num.total_degree() > 1:
+            continue
+        P = num.transplant(big, to_big) - big.var(n + j)
+        for v, row in rows.items():
+            if unit[v] in P.terms:
+                P = P - row.scale(P.terms[unit[v]])
+        v = next((v for v in range(n) if unit[v] in P.terms), None)
+        if v is None:
+            continue
+        P = P.scale(P.terms[unit[v]].inverse())
+        for w, row in rows.items():
+            if unit[v] in row.terms:
+                rows[w] = row - P.scale(row.terms[unit[v]])
+        rows[v] = P
+        lin.add(j)
+        if len(rows) == n:
+            break
+    else:
+        return None
+    chart = PolyRing(ring.field, tnames[m - 1::-1], MonomialOrder("lex"))
+    to_chart = _index_map(big, chart)
+    xs = [(big.var(v) - rows[v]).transplant(chart, to_chart) for v in range(n)]
+    table = _PowerTable(chart, [(x, None) for x in xs])
+    gens = [table.poly(table.substitute(P)[0]) for P in I_X.generators]
+    gens += [chart.var(tnames[j]) - table.poly(table.substitute(num)[0])
+             for j, (num, _) in enumerate(R.components[:m]) if j not in lin]
+    return Ideal(chart, gens), tuple(tnames[:m - 1:-1]), xs
+
+
+def _chart_inverse(xs, elements, y_ideal: Ideal) -> RationalMap:
+    """R^-1 = M(t_lin - c) on the pruned Y, from _affine_chart's xs.
+
+    Each dropped coordinate the components use is replaced, in drop order,
+    by its value from the element that dropped it, which uses no coordinate
+    dropped before it.  On Y this is the unique polynomial inverse, so its
+    normal form modulo Y's reduced grevlex basis is the one the block graph
+    basis holds.
+    """
+    ring = xs[0].ring
+    for name, g in elements.items():
+        i = ring.variables.index(name)
+        if any(x.uses_variable(i) for x in xs):
+            values = ring.gens()
+            values[i] = values[i] - g.transplant(ring)
+            table = _PowerTable(ring, [(v, None) for v in values])
+            xs = [table.poly(table.substitute(x)[0]) for x in xs]
+    target = y_ideal.ring
+    to_y = _index_map(ring, target)
+    gb = y_ideal.groebner_basis()
+    return RationalMap(target, [normal_form(x.transplant(target, to_y), gb) for x in xs])
 
 
 # -- independent checking of a claimed model ----------------------------------------

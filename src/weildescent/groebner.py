@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import kernel
 from ._pykernel import _as_budget, _run
 from .errors import InputError, ZeroDenominator
-from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap
+from .multipoly import MonomialOrder, MultiPoly, PolyRing, RationalMap, _index_map
 
 __all__ = [
     "Ideal",
@@ -117,7 +117,8 @@ def _block_basis(I: Ideal, first):
     split = len(names)
     names += [v for v in ring.variables if v not in first]
     block = PolyRing(ring.field, names, MonomialOrder("block", split=split))
-    moved = Ideal(block, [g.transplant(block) for g in I.generators])
+    to_block = _index_map(ring, block)
+    moved = Ideal(block, [g.transplant(block, to_block) for g in I.generators])
     return moved.groebner_basis(), split
 
 
@@ -177,12 +178,14 @@ def saturate(I: Ideal, h: MultiPoly) -> Ideal:
     ring = I.ring
     aux = _fresh_name("_sat", set(ring.variables))
     big = PolyRing(ring.field, (aux,) + ring.variables)
-    gens = [g.transplant(big) for g in I.generators]
-    gens.append(big.one - big.var(aux) * h.transplant(big))
+    to_big = _index_map(ring, big)
+    gens = [g.transplant(big, to_big) for g in I.generators]
+    gens.append(big.one - big.var(aux) * h.transplant(big, to_big))
     sat = eliminate(Ideal(big, gens), [aux])
     if sat.ring != ring:
         # A lex caller gets the generators back in its own ring.
-        sat = Ideal(ring, [g.transplant(ring) for g in sat.generators])
+        back = _index_map(sat.ring, ring)
+        sat = Ideal(ring, [g.transplant(ring, back) for g in sat.generators])
     I._sat_cache[h] = sat
     return sat
 
@@ -227,11 +230,13 @@ def _graph_basis(F: RationalMap, I_source: Ideal, target_vars, order=None):
     split = len(names)
     big = PolyRing(ring.field, tuple(names) + target_vars,
                    order or MonomialOrder("block", split=split))
-    gens = [g.transplant(big) for g in I_source.generators]
+    to_big = _index_map(ring, big)
+    gens = [g.transplant(big, to_big) for g in I_source.generators]
     for tname, (num, den) in zip(target_vars, F.components):
-        gens.append(big.var(tname) * den.transplant(big) - num.transplant(big))
+        gens.append(big.var(tname) * den.transplant(big, to_big)
+                    - num.transplant(big, to_big))
     if prod is not None:
-        gens.append(big.one - big.var(names[-1]) * prod.transplant(big))
+        gens.append(big.one - big.var(names[-1]) * prod.transplant(big, to_big))
     return Ideal(big, gens).groebner_basis(), split
 
 

@@ -158,6 +158,12 @@ class PolyRing:
         return [self.var(i) for i in range(self.nvars)]
 
 
+def _index_map(source: PolyRing, target: PolyRing):
+    """{index in source: index in target} for each variable name both share."""
+    index = target._var_index
+    return {i: index[v] for i, v in enumerate(source.variables) if v in index}
+
+
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -314,23 +320,26 @@ class MultiPoly:
         return self.substitute([scalars.constant(x) for x in point]).constant_value()
 
     def transplant(self, ring: PolyRing, var_map=None):
-        """Move into another ring; variables map by name unless var_map given."""
+        """Move into another ring; variables map by name unless var_map given.
+
+        var_map sends variable indices here to indices in ring, as
+        _index_map(self.ring, ring) does; a caller moving many polynomials
+        between the same two rings builds it once.  A variable used here
+        that var_map does not send anywhere is an InputError.
+        """
         if var_map is None:
-            var_map = {}
-            for i, name in enumerate(self.ring.variables):
-                if self.uses_variable(i):
-                    if name not in ring._var_index:
-                        raise InputError(f"variable {name!r} missing in target ring")
-                    var_map[i] = ring._var_index[name]
-                elif name in ring._var_index:
-                    var_map[i] = ring._var_index[name]
+            var_map = _index_map(self.ring, ring)
         terms = {}
-        for mono, coeff in self.terms.items():
-            exps = [0] * ring.nvars
-            for i, e in enumerate(mono):
-                if e:
-                    exps[var_map[i]] = e
-            terms[tuple(exps)] = coeff
+        try:
+            for mono, coeff in self.terms.items():
+                exps = [0] * ring.nvars
+                for i, e in enumerate(mono):
+                    if e:
+                        exps[var_map[i]] = e
+                terms[tuple(exps)] = coeff
+        except KeyError as exc:
+            name = self.ring.variables[exc.args[0]]
+            raise InputError(f"variable {name!r} missing in target ring") from None
         return MultiPoly(ring, terms)
 
     # -- Galois action --------------------------------------------------------------

@@ -480,7 +480,7 @@ class NumberField:
     (num, den) pairs, the one form in which its elements store themselves.
     """
 
-    __slots__ = ("minpoly", "gen_name", "degree",
+    __slots__ = ("minpoly", "gen_name", "degree", "gen",
                  "pair_mul", "pair_add", "pair_sub", "pair_neg", "pair_inv")
 
     def __init__(self, minpoly_coeffs, gen_name="a"):
@@ -516,6 +516,8 @@ class NumberField:
             arithmetic = _general_arithmetic(m, den, high_powers)
         (self.pair_mul, self.pair_add, self.pair_sub, self.pair_neg,
          self.pair_inv) = arithmetic
+        # alpha itself, built once; over Q, the root of the degree-1 minpoly.
+        self.gen = self.rational(-coeffs[0]) if m == 1 else self.element([0, 1])
 
     def __repr__(self):
         return f"NumberField(deg={self.degree}, gen={self.gen_name!r})"
@@ -561,13 +563,6 @@ class NumberField:
     @property
     def one(self):
         return self.rational(1)
-
-    @property
-    def gen(self):
-        if self.degree == 1:
-            # Q itself: alpha is the root of the degree-1 minpoly.
-            return self.rational(-self.minpoly[0])
-        return self.element([0, 1])
 
     # -- element arithmetic that the tracer counts ----------------------------
 

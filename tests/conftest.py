@@ -20,17 +20,20 @@ def read_fixture(name):
 # Committed `descend` documents, <stem>_result.txt, each with the problem
 # file and flags that write it.  Pruned: a non-integral minimal polynomial,
 # a datum with a denominator, points over the cyclic cubic field whose
-# conjugates meet, and the genus-5 Humbert curve.  Unpruned: Y read straight
-# off the graph basis, in every invariant coordinate.  Stable and trivial: X
-# is its own model, R the identity.
+# conjugates meet, the genus-5 Humbert curve, and a parabola whose degree-1
+# coordinates are all constant, so that Y has no affine chart.  Unpruned: Y
+# read straight off the graph basis, in every invariant coordinate.  Stable
+# and trivial: X is its own model, R the identity.
 DOCUMENTED_FIXTURES = {
     "conic_half": ("conic_half", ["--prune"]),
     "twisted_conic": ("twisted_conic", ["--prune"]),
     "cubic_origin": ("cubic_origin", ["--prune"]),
     "humbert": ("humbert", ["--prune"]),
+    "parabola": ("parabola", ["--prune"]),
     "cubic_origin_unpruned": ("cubic_origin", []),
     "conic_unpruned": ("conic", []),
     "humbert_unpruned": ("humbert", []),
+    "parabola_unpruned": ("parabola", []),
     "twisted_conic_unpruned": ("twisted_conic", []),
     "twisted_conic_lex": ("twisted_conic", ["--prune", "--order", "lex"]),
     "twisted_conic_lex_unpruned": ("twisted_conic", ["--order", "lex"]),

@@ -1,4 +1,6 @@
 import gc
+import os
+import random
 import sys
 from fractions import Fraction
 
@@ -8,13 +10,18 @@ import weildescent as wd
 from tests.conftest import DOCUMENTED_FIXTURES, humbert_datum, read_fixture
 from weildescent import descent
 from weildescent.descent import _conjugates_disjoint, _sigma_stable
-from weildescent.groebner import _fresh_name, _graph_basis
+from weildescent.groebner import _fresh_name, _graph_basis, _second_block
 from weildescent.kernel import DEFAULT_BUDGET
 from weildescent.problemfile import (
     load_claimed_model_text,
     load_problem_text,
     render_result,
 )
+
+# perfbench's problem generator, imported as it is, read-only.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import gen  # noqa: E402
 
 
 # The points 0 and a over the splitting field of x^3 - 2 (group S3), with
@@ -606,7 +613,7 @@ class TestRunBudget:
     # lex, its S-pair order, the Gebauer-Moller criteria that prune pairs as
     # each element is inserted, and the choice of divisor fix them.
     KERNEL_WORK = {
-        "humbert": ([9, 69, 25, 13, 6, 5, 27], 8),
+        "humbert": ([9, 16, 25, 13, 6, 5], 8),
         "twisted_conic": ([8, 3, 6, 0, 3, 5, 9, 6, 6, 5, 4, 6, 6,
                            222, 17, 20, 0, 4, 7, 23, 3, 3], 8),
     }
@@ -828,7 +835,7 @@ class TestBasisReuse:
             res = wd.descend(datum, prune=True)
             pruned, y_pruned = res.pruned, res.y_ideal
         else:
-            y_pruned, _, pruned = descent._prune_coordinates(
+            y_pruned, _, pruned, _ = descent._prune_coordinates(
                 descent._reverse_lex(y), R)
         assert pruned == tuple(dropped)
         assert y_pruned.ring == current.ring
@@ -863,7 +870,7 @@ class TestBasisReuse:
         y = wd.Ideal(ring, [p("2*t1^2 + 2*t2^2 - 2", ring)])
         x_ring = wd.PolyRing(qi, ("x1", "x2"))
         R = wd.identity_map(x_ring)
-        y_pruned, R_pruned, pruned = descent._prune_coordinates(
+        y_pruned, R_pruned, pruned, _ = descent._prune_coordinates(
             descent._reverse_lex(y), R)
         assert pruned == ()
         assert y_pruned.ring == ring
@@ -874,6 +881,91 @@ class TestBasisReuse:
         # Given Y itself, as on the stable path, nothing dropped returns it.
         assert descent._prune_coordinates(
             descent._reverse_lex(y), R, y)[0] is y
+
+
+def _chart_cases():
+    """(problem text, ring order) of every pruned committed document, the
+    seed-1 quadratic-prune curve, and generated point pairs over every field,
+    through the origin and not, and space curves, two seeds each."""
+    cases = {
+        name + ("-lex" if "lex" in flags else ""):
+            (read_fixture(f"{name}.txt"), "lex" if "lex" in flags else None)
+        for name, flags in DOCUMENTED_FIXTURES.values() if "--prune" in flags
+    }
+    cases["curve-Qi"] = (QUADRATIC_PRUNE_CURVE, None)
+    for seed in range(2):
+        for key in gen.FIELDS:
+            for origin in (False, True):
+                problem = gen.point_pair(random.Random(f"chart/{seed}"), key, "points", origin)
+                cases[f"points-{key}{'-origin' * origin}-{seed}"] = (problem.problem_text(), None)
+        for key in ("Qi", "Qsqrt2", "cubic"):
+            problem = gen.space_curve(random.Random(f"chart/{seed}"), key, "curve")
+            cases[f"curve-{key}-{seed}"] = (problem.problem_text(), None)
+    return cases
+
+
+CHART_CASES = _chart_cases()
+
+
+class TestAffineChart:
+    """A pruned descent whose R is polynomial with an affine chart of X among
+    its coordinates reads Y's first lex ideal and R^-1 off the chart; the lex
+    graph basis and recover_inverse are the oracle."""
+
+    # A datum with a denominator, and a parabola whose degree-1 coordinates
+    # are all constant.
+    NO_CHART = {"twisted_conic", "twisted_conic-lex", "parabola"}
+    # The chart coordinates that pruning drops in a later pass: none on
+    # Humbert and on the disjointified cubic_origin, t1 on the Q(i) curve.
+    LIN_DROPPED = {"humbert": set(), "cubic_origin": set(), "curve-Qi": {"t1"}}
+
+    @pytest.mark.parametrize("name", sorted(CHART_CASES))
+    def test_chart_route_matches_lex_graph_route(self, name, monkeypatch):
+        text, order = CHART_CASES[name]
+        datum = load_problem_text(text, order=order).datum
+        calls = []
+        chart = descent._affine_chart
+
+        def recorded(*args):
+            calls.append(args)
+            return chart(*args)
+
+        monkeypatch.setattr(descent, "_affine_chart", recorded)
+        result = wd.descend(datum, prune=True)
+        (R, I_X, tnames, m), = calls
+        reverse = wd.RationalMap(R.ring, R.components[::-1], normalize=False)
+        y_graph = _second_block(*_graph_basis(
+            reverse, I_X, tnames[::-1], wd.MonomialOrder("lex")))
+        y, R_pruned, pruned, _ = descent._prune_coordinates(y_graph, R)
+        assert pruned == result.pruned
+        found = chart(R, I_X, tnames, m)
+        assert (found is None) == (name in self.NO_CHART)
+        if found is None:
+            return
+
+        y_lex, pre, xs = found
+        k = len(tnames) - m
+        assert pre == pruned[:k] == tnames[:m - 1:-1]
+        free = [{m[k:]: c for m, c in terms.items()}
+                for lead, terms in y_graph.groebner_basis().divisors if not any(lead[:k])]
+        assert free == [terms for _, terms in y_lex.groebner_basis().divisors]
+
+        y_chart, R_chart, pruned_chart, elements = descent._prune_coordinates(
+            y_lex, R, None, pre)
+        assert pruned_chart == pruned
+        assert R_chart == R_pruned
+        assert y_chart.ring == y.ring
+        assert [g.terms for g in y_chart.generators] == [g.terms for g in y.generators]
+        inverse = descent._chart_inverse(xs, elements, y_chart)
+        assert inverse == wd.recover_inverse(R_pruned, I_X, y_chart)
+        assert inverse == result.inverse
+
+        if name in self.LIN_DROPPED:
+            lin = {v for x in xs for i, v in enumerate(x.ring.variables)
+                   if x.uses_variable(i)}
+            assert lin & set(pruned) == self.LIN_DROPPED[name]
+        if name == "cubic_origin":
+            assert descent.disjointify(datum) is not datum
 
 
 class TestReach:

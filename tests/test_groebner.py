@@ -14,6 +14,7 @@ from tests.conftest import humbert_datum
 from weildescent import _pykernel
 from weildescent._pykernel import _run
 from weildescent.descent import _sigma_stable
+from weildescent.groebner import _graph_basis
 
 
 @pytest.fixture
@@ -474,8 +475,9 @@ def linear_cases():
 
 
 def humbert_lex_graph_generators(monkeypatch):
-    """The generators and order of the lex graph basis of a pruned Humbert
-    descent: the kernel call in the most variables."""
+    """The generators and order of the lex graph basis of Humbert's R with
+    its coordinates in reverse, which pruning reads Y from when R has no
+    affine chart: a kernel call in 18 variables."""
     kernel = sys.modules["weildescent.kernel"]
     calls = []
 
@@ -483,11 +485,15 @@ def humbert_lex_graph_generators(monkeypatch):
         calls.append((gens, order))
         return buchberger(gens, order, budget)
 
+    datum = humbert_datum()
+    R = wd.descend(datum).map
+    tnames = tuple(f"t{k + 1}" for k in range(R.target_arity))
+    reverse = wd.RationalMap(R.ring, R.components[::-1], normalize=False)
     buchberger = kernel.buchberger
     monkeypatch.setattr(kernel, "buchberger", recorded)
-    wd.descend(humbert_datum(), prune=True)
+    _graph_basis(reverse, datum.variety.ideal, tnames[::-1], wd.MonomialOrder("lex"))
     monkeypatch.setattr(kernel, "buchberger", buchberger)
-    gens, order = max(calls, key=lambda call: len(next(iter(call[0][0]))))
+    (gens, order), = calls
     assert order.kind == "lex"
     return gens, order
 

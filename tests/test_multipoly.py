@@ -191,8 +191,20 @@ class TestTransplant:
     def test_transplant_missing_variable_rejected(self, qi):
         small = wd.PolyRing(qi, ("x", "y"))
         other = wd.PolyRing(qi, ("x", "z"))
-        with pytest.raises(wd.InputError):
+        with pytest.raises(wd.InputError, match="'y' missing in target ring"):
             p("x + y", small).transplant(other)
+
+    def test_shared_index_map(self, qi):
+        # One map serves every polynomial moved between the same two rings,
+        # and a polynomial using a variable that it leaves out still raises.
+        small = wd.PolyRing(qi, ("x", "y", "w"))
+        big = wd.PolyRing(qi, ("z", "y", "x"))
+        index = multipoly._index_map(small, big)
+        assert index == {0: 2, 1: 1}
+        for text in ("x^2 + i*y", "y^3 - x*y + 1", "0"):
+            assert p(text, small).transplant(big, index) == p(text, small).transplant(big)
+        with pytest.raises(wd.InputError, match="'w' missing in target ring"):
+            p("x + w", small).transplant(big, index)
 
 
 # -- the power table against sympy -------------------------------------------------

@@ -29,6 +29,15 @@ class TestFieldConstruction:
         assert qi.degree == 2
         assert cubic.degree == 3
 
+    def test_generator_built_once(self, qi, cubic, rational_field):
+        for field in (qi, cubic, rational_field):
+            assert field.gen is field.gen
+        assert qi.gen.coeffs == (0, 1)
+        assert cubic.gen.coeffs == (0, 1, 0)
+        # Over Q the generator is the root of the degree-1 minpoly t + c0.
+        assert rational_field.gen == rational_field.rational(0)
+        assert wd.NumberField([Fraction(-3, 2), 1]).gen.coeffs == (Fraction(3, 2),)
+
 
 def _sympy_is_irreducible(coeffs):
     t = sympy.Symbol("t")
